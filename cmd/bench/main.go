@@ -6,16 +6,17 @@
 //
 // Scenarios:
 //
-//	qp_warm_vs_cold — MPC-shaped box QP, cold solve vs warm re-solve of a
-//	                  perturbed problem (sweeps are deterministic)
+//	qp_warm_vs_cold — MPC-shaped rank-one box QP, cold solve vs warm
+//	                  re-solve of a perturbed problem: ψ evaluations
+//	                  (deterministic), KKT residual, allocations per
+//	                  solve (must be 0)
 //	tick_loop       — steady-state SprintCon tick: allocations per tick
 //	                  (must be 0 with telemetry off) and ns/tick
 //	trace_overhead  — the same tick loop with the observability plane
 //	                  detached vs attached: allocations per tick (must stay
 //	                  0 detached) and the on/off wall-time ratio
-//	mpc_sweeps      — mean QP sweeps per MPC solve over the default
-//	                  closed-loop run, warm vs the pre-optimization
-//	                  legacy path
+//	mpc_sweeps      — mean QP ψ evaluations per MPC solve over the
+//	                  default closed-loop run
 //	event_engine    — single-rack diurnal power-capping run under the
 //	                  discrete-event engine vs the tick engine: bitwise
 //	                  identity, the in-process speedup, the fraction of
@@ -185,28 +186,22 @@ func sortedKeys(m map[string]float64) []string {
 	return keys
 }
 
-// qpWarmVsCold re-solves a perturbed MPC-shaped QP warm vs cold. Sweep
-// counts are fully deterministic.
+// qpWarmVsCold re-solves a perturbed MPC-shaped QP warm vs cold through
+// the structured solver: ψ evaluations (deterministic), the scaled KKT
+// residual of both solutions, heap allocations per workspace solve (must be
+// 0) and the mean wall time per solve.
 func qpWarmVsCold() Scenario {
 	const n = 64
-	h := mathx.NewMatrix(n, n)
 	k := mathx.NewVector(n)
+	d := mathx.Constant(n, 400)
+	g := mathx.NewVector(n)
 	for i := range k {
 		k[i] = 9 + 0.1*float64(i%7)
-	}
-	h.OuterAdd(30, k, k)
-	g := mathx.NewVector(n)
-	lo := mathx.NewVector(n)
-	hi := mathx.NewVector(n)
-	for i := 0; i < n; i++ {
-		h.Inc(i, i, 400)
 		g[i] = -(4000 + 2500*float64(i%5)) * k[i]
-		lo[i] = -1.6
-		hi[i] = 0.4
 	}
-	p := qp.Problem{H: h, G: g, Lo: lo, Hi: hi}
+	p := qp.Problem{A: 30, K: k, D: d, G: g, Lo: mathx.Constant(n, -1.6), Hi: mathx.Constant(n, 0.4)}
 
-	base, err := qp.Solve(p, qp.Options{MaxSweeps: 10000})
+	base, err := qp.Solve(p, qp.Options{})
 	if err != nil {
 		fatal(err)
 	}
@@ -215,25 +210,36 @@ func qpWarmVsCold() Scenario {
 	for i := range pert.G {
 		pert.G[i] *= 1.01
 	}
-	t0 := time.Now()
-	cold, err := qp.Solve(pert, qp.Options{MaxSweeps: 10000})
-	coldNs := time.Since(t0)
-	if err != nil {
-		fatal(err)
-	}
 	ws := qp.NewWorkspace(n)
-	t0 = time.Now()
-	warm, err := qp.Solve(pert, qp.Options{MaxSweeps: 10000, Warm: base.X, Ws: ws})
-	warmNs := time.Since(t0)
-	if err != nil {
-		fatal(err)
+	solve := func(warm mathx.Vector) qp.Result {
+		res, err := qp.Solve(pert, qp.Options{Warm: warm, Ws: ws})
+		if err != nil {
+			fatal(err)
+		}
+		return res
+	}
+	timed := func(warm mathx.Vector) float64 {
+		const reps = 2000
+		t0 := time.Now()
+		for i := 0; i < reps; i++ {
+			solve(warm)
+		}
+		return float64(time.Since(t0).Nanoseconds()) / reps
+	}
+	cold := solve(nil)
+	warm := solve(base.X)
+	allocs := testing.AllocsPerRun(100, func() { solve(base.X) })
+	if allocs != 0 {
+		fatal(fmt.Errorf("qp_warm_vs_cold: workspace solve allocates %.1f times, want 0", allocs))
 	}
 	return Scenario{Name: "qp_warm_vs_cold", Metrics: map[string]float64{
-		"cold_sweeps":     float64(cold.Sweeps),
-		"warm_sweeps":     float64(warm.Sweeps),
-		"sweep_reduction": float64(cold.Sweeps) / math.Max(1, float64(warm.Sweeps)),
-		"cold_ns":         float64(coldNs.Nanoseconds()),
-		"warm_ns":         float64(warmNs.Nanoseconds()),
+		"cold_sweeps":      float64(cold.Evals),
+		"warm_sweeps":      float64(warm.Evals),
+		"sweep_reduction":  float64(cold.Evals) / math.Max(1, float64(warm.Evals)),
+		"kkt_residual":     math.Max(cold.Residual, warm.Residual),
+		"allocs_per_solve": allocs,
+		"cold_ns":          timed(nil),
+		"warm_ns":          timed(base.X),
 	}}
 }
 
@@ -332,36 +338,26 @@ func traceOverhead(quick bool) Scenario {
 }
 
 // mpcSweeps runs the default closed-loop scenario instrumented and reports
-// the mean QP sweeps per MPC solve, warm vs the pre-optimization legacy
-// path. Both are deterministic.
+// the mean QP ψ evaluations per MPC solve (warm-started, as in production)
+// and the solves that missed tolerance. Both are deterministic.
 func mpcSweeps(quick bool) Scenario {
 	scn := sim.DefaultScenario()
 	if quick {
 		scn.DurationS = 300
 	}
-	run := func(legacy bool) (mean float64, unconverged float64) {
-		cfg := core.DefaultConfig()
-		cfg.LegacyQP = legacy
-		reg := telemetry.NewRegistry()
-		res, err := sim.RunWith(scn, core.New(cfg), sim.RunOptions{Metrics: reg})
-		if err != nil {
-			fatal(err)
-		}
-		p, ok := res.Telemetry.Get("qp_iterations")
-		if !ok || p.Count == 0 {
-			fatal(fmt.Errorf("qp_iterations missing from telemetry"))
-		}
-		u, _ := res.Telemetry.Value("qp_unconverged_total")
-		return p.Value / float64(p.Count), u
+	reg := telemetry.NewRegistry()
+	res, err := sim.RunWith(scn, core.New(core.DefaultConfig()), sim.RunOptions{Metrics: reg})
+	if err != nil {
+		fatal(err)
 	}
-	warmMean, warmUnconv := run(false)
-	legacyMean, legacyUnconv := run(true)
+	p, ok := res.Telemetry.Get("qp_iterations")
+	if !ok || p.Count == 0 {
+		fatal(fmt.Errorf("qp_iterations missing from telemetry"))
+	}
+	u, _ := res.Telemetry.Value("qp_unconverged_total")
 	return Scenario{Name: "mpc_sweeps", Metrics: map[string]float64{
-		"mean_sweeps_warm":   warmMean,
-		"mean_sweeps_legacy": legacyMean,
-		"sweep_reduction":    legacyMean / math.Max(1e-9, warmMean),
-		"unconverged_warm":   warmUnconv,
-		"unconverged_legacy": legacyUnconv,
+		"mean_sweeps_warm": p.Value / float64(p.Count),
+		"unconverged_warm": u,
 	}}
 }
 

@@ -209,11 +209,13 @@ func RunLinked(cfg Config) (*LinkedResult, error) {
 	clients := make([]*link.Client, cfg.NumRacks)
 	inners := make([]*core.SprintCon, cfg.NumRacks)
 	for i := range runners {
-		// Runner construction is the expensive pre-run phase (per-tick
-		// series preallocation, trace generation — seconds per rack at
-		// day-long horizons), so honor cancellation between racks: a run
-		// stopped during setup returns within one rack's build, not after
-		// all of them.
+		// Runner construction is the pre-run phase (per-tick series
+		// preallocation, trace generation — under a millisecond for a
+		// 900 s rack, about 1 ms for a day-long one, perfbench's
+		// sim.setup_ms_per_rack — which adds up to seconds over thousands
+		// of racks), so honor cancellation between racks: a run stopped
+		// during setup returns within one rack's build, not after all of
+		// them.
 		if cfg.Stop != nil {
 			select {
 			case <-cfg.Stop:

@@ -60,21 +60,16 @@ type MPCConfig struct {
 	FullHorizon bool
 	// WarmStart seeds each period's QP with the previous period's solution
 	// (the receding-horizon problems differ only by the measured gap and
-	// the shifted bounds, so the previous minimizer is a few coordinate-
-	// descent sweeps from the new one). The controller invalidates the
-	// cached solution whenever the locked-core mask changes — a stuck
-	// actuator being excluded, a probe rejoining, a server crashing — and
-	// the cache dies with the controller, so a core-set change or a model
-	// rebuild (online estimation) always re-solves cold. The warm solve
-	// converges to the same minimizer within the QP's KKT tolerance; see
-	// the warm-vs-cold equivalence test in the qp package.
+	// the shifted bounds, so the previous minimizer's bound pattern is
+	// usually the new one and the solver's root search starts on the
+	// right linear piece). The controller invalidates the cached solution
+	// whenever the locked-core mask changes — a stuck actuator being
+	// excluded, a probe rejoining, a server crashing — and the cache dies
+	// with the controller, so a core-set change or a model rebuild
+	// (online estimation) always re-solves cold. The warm solve converges
+	// to the same minimizer within the QP's KKT tolerance; see the
+	// warm-vs-cold equivalence test in the qp package.
 	WarmStart bool
-	// LegacyQP forces the original cold QP path: no warm start, no
-	// workspace, allocation per solve. It exists so the benchmark harness
-	// can measure the warm-started solver against the pre-optimization
-	// behavior in the same binary; production configurations leave it
-	// false. LegacyQP overrides WarmStart.
-	LegacyQP bool
 }
 
 // DefaultMPCConfig returns the tuning used throughout the evaluation for a
@@ -141,10 +136,11 @@ type MPC struct {
 	last SolveStats
 
 	// Preallocated per-solve state (the zero-alloc tick contract,
-	// DESIGN.md §10). Sized n for the constant-move formulation and
-	// n·ControlHorizon for FullHorizon.
-	h         *mathx.Matrix
-	g, lo, hi mathx.Vector
+	// DESIGN.md §10). The QP's diagonal weights and bounds are per core
+	// (sized n); its linear term holds one n-block per control move
+	// (n·ControlHorizon for FullHorizon), as does warmX below.
+	d, lo, hi mathx.Vector
+	g         mathx.Vector
 	next      []float64
 	ws        *qp.Workspace
 
@@ -154,22 +150,13 @@ type MPC struct {
 	warmX    mathx.Vector
 	warmMask []bool
 	warmOK   bool
-
-	// H generation for the QP's Cholesky factor cache (qp.Options.HGen).
-	// The Hessian is a pure function of the fixed configuration and the
-	// per-core R weights, so hGen advances exactly when the weights change
-	// bit-wise; lastRW holds the weights the current generation was minted
-	// for. A model rebuild constructs a fresh MPC (and workspace), so
-	// cached factors can never outlive the H they were computed from.
-	hGen   uint64
-	lastRW []float64
 }
 
 // SolveStats reports the diagnostics of the most recent Step, for the
 // telemetry layer's qp_iterations histogram and the decision trace.
 type SolveStats struct {
-	// Sweeps is the QP solver's coordinate-descent sweep count (0 when
-	// the unconstrained Cholesky shortcut was feasible).
+	// Sweeps counts the QP solver's ψ evaluations (qp.Result.Evals),
+	// summed over the control-move blocks of the full-horizon variant.
 	Sweeps int
 	// Converged reports whether the KKT residual met tolerance.
 	Converged bool
@@ -213,12 +200,12 @@ func NewMPC(cfg MPCConfig) (*MPC, error) {
 	}
 	return &MPC{
 		cfg:      cfg,
-		h:        mathx.NewMatrix(nv, nv),
+		d:        mathx.NewVector(n),
+		lo:       mathx.NewVector(n),
+		hi:       mathx.NewVector(n),
 		g:        mathx.NewVector(nv),
-		lo:       mathx.NewVector(nv),
-		hi:       mathx.NewVector(nv),
 		next:     make([]float64, n),
-		ws:       qp.NewWorkspace(nv),
+		ws:       qp.NewWorkspace(n),
 		warmX:    mathx.NewVector(nv),
 		warmMask: make([]bool, n),
 	}, nil
@@ -261,7 +248,6 @@ func (m *MPC) StepLocked(pfbW, pTargetW float64, freqs, rweights []float64, lock
 	if locked != nil && len(locked) != n {
 		return nil, fmt.Errorf("control: Step got %d locked flags for %d cores", len(locked), n)
 	}
-	m.refreshHGen(rweights)
 	if m.cfg.FullHorizon {
 		return m.stepFullHorizon(pfbW, pTargetW, freqs, rweights, locked)
 	}
@@ -271,8 +257,8 @@ func (m *MPC) StepLocked(pfbW, pTargetW float64, freqs, rweights []float64, lock
 	// g = −Σ_{h=1..Lp} Q·h·e_h·k + Σ_{m=1..Lc} m·diag(R·RScale)·d
 	// where e_h = p_r(t+h) − p_fb = (P_batch − p_fb)(1 − exp(−h·T/τ_r))
 	// (Eq. 7) and d = F − F_max (how far below peak each core sits).
-	h := m.h
-	h.Zero()
+	// H is rank one plus a diagonal: the QP takes it as the weight
+	// Q·Σh², the direction k and the diagonal, never as a matrix.
 	g := m.g
 	for i := range g {
 		g[i] = 0
@@ -285,7 +271,6 @@ func (m *MPC) StepLocked(pfbW, pTargetW float64, freqs, rweights []float64, lock
 		eh := gap * (1 - math.Exp(-hf*m.cfg.PeriodS/m.cfg.RefTimeConstS))
 		g.AXPY(-m.cfg.QWeight*hf*eh, k)
 	}
-	h.OuterAdd(m.cfg.QWeight*sumH2, k, k)
 
 	var sumM, sumM2 float64
 	for mv := 1; mv <= m.cfg.ControlHorizon; mv++ {
@@ -294,54 +279,24 @@ func (m *MPC) StepLocked(pfbW, pTargetW float64, freqs, rweights []float64, lock
 	}
 	for i := 0; i < n; i++ {
 		r := m.cfg.RScale * math.Max(rweights[i], 1e-6)
-		h.Inc(i, i, sumM2*r)
+		m.d[i] = sumM2 * r
 		g[i] += sumM * r * (freqs[i] - m.cfg.FMaxGHz)
 	}
-
-	lo, hi := m.lo, m.hi
-	for i := 0; i < n; i++ {
-		if locked != nil && locked[i] {
-			lo[i], hi[i] = 0, 0 // no move for this core
-			continue
-		}
-		lo[i] = m.cfg.FMinGHz - freqs[i]
-		hi[i] = m.cfg.FMaxGHz - freqs[i]
-	}
-
-	res, err := m.solve(locked)
-	if err != nil {
-		return nil, fmt.Errorf("control: MPC QP: %w", err)
-	}
-	next := m.next
-	for i := 0; i < n; i++ {
-		next[i] = freqs[i] + res.X[i]
-		// Guard against accumulation error; the QP bounds already
-		// enforce this up to tolerance.
-		if next[i] < m.cfg.FMinGHz {
-			next[i] = m.cfg.FMinGHz
-		} else if next[i] > m.cfg.FMaxGHz {
-			next[i] = m.cfg.FMaxGHz
-		}
-	}
-	return next, nil
+	a := [1]float64{m.cfg.QWeight * sumH2}
+	return m.solve(freqs, locked, a[:])
 }
 
 // stepFullHorizon solves the receding-horizon problem with ControlHorizon
 // distinct moves. Decision variables are the cumulative moves
 // z_h ∈ Rⁿ (h = 1..L_c); the predicted power at horizon step h is
-// p_fb + K·z_{min(h,L_c)} and the Eq. (9) bounds apply to F + z_h.
+// p_fb + K·z_{min(h,L_c)} and the Eq. (9) bounds apply to F + z_h. No term
+// couples two blocks z_h, so H is block-diagonal with one rank-one-plus-
+// diagonal block per move and the QP splits into L_c independent solves.
 func (m *MPC) stepFullHorizon(pfbW, pTargetW float64, freqs, rweights []float64, locked []bool) ([]float64, error) {
 	n := len(m.cfg.KWPerGHz)
 	lc := m.cfg.ControlHorizon
-	k := mathx.Vector(m.cfg.KWPerGHz)
+	k := m.cfg.KWPerGHz
 	gap := pTargetW - pfbW
-
-	h := m.h
-	h.Zero()
-	g := m.g
-	for i := range g {
-		g[i] = 0
-	}
 
 	// Tracking term: for each prediction step hp, the active block is
 	// m(hp) = min(hp, Lc); accumulate Q·kkᵀ and −Q·e_hp·k there.
@@ -349,9 +304,6 @@ func (m *MPC) stepFullHorizon(pfbW, pTargetW float64, freqs, rweights []float64,
 	var blockE [maxControlHorizon + 1]float64 // Σ Q·e_hp over steps mapped to block
 	if lc > maxControlHorizon {
 		return nil, fmt.Errorf("control: ControlHorizon %d exceeds supported maximum %d", lc, maxControlHorizon)
-	}
-	for b := range blockQ[:lc+1] {
-		blockQ[b], blockE[b] = 0, 0
 	}
 	for hp := 1; hp <= m.cfg.PredictionHorizon; hp++ {
 		blk := hp
@@ -362,116 +314,83 @@ func (m *MPC) stepFullHorizon(pfbW, pTargetW float64, freqs, rweights []float64,
 		blockQ[blk] += m.cfg.QWeight
 		blockE[blk] += m.cfg.QWeight * e
 	}
-	for blk := 1; blk <= lc; blk++ {
-		off := (blk - 1) * n
-		for i := 0; i < n; i++ {
-			gi := -blockE[blk] * k[i]
-			g[off+i] += gi
-			for j := 0; j < n; j++ {
-				h.Inc(off+i, off+j, blockQ[blk]*k[i]*k[j])
-			}
-		}
-	}
 
 	// Control penalty: Σ_{h=1..Lc} ||F + z_h − F_max||²_R.
+	for i := 0; i < n; i++ {
+		m.d[i] = m.cfg.RScale * math.Max(rweights[i], 1e-6)
+	}
 	for blk := 1; blk <= lc; blk++ {
 		off := (blk - 1) * n
 		for i := 0; i < n; i++ {
-			r := m.cfg.RScale * math.Max(rweights[i], 1e-6)
-			h.Inc(off+i, off+i, r)
-			g[off+i] += r * (freqs[i] - m.cfg.FMaxGHz)
+			m.g[off+i] = -blockE[blk] * k[i]
+			m.g[off+i] += m.d[i] * (freqs[i] - m.cfg.FMaxGHz)
 		}
 	}
-
-	lo, hi := m.lo, m.hi
-	for blk := 0; blk < lc; blk++ {
-		for i := 0; i < n; i++ {
-			if locked != nil && locked[i] {
-				lo[blk*n+i], hi[blk*n+i] = 0, 0 // excluded from the move set
-				continue
-			}
-			lo[blk*n+i] = m.cfg.FMinGHz - freqs[i]
-			hi[blk*n+i] = m.cfg.FMaxGHz - freqs[i]
-		}
-	}
-
-	res, err := m.solve(locked)
-	if err != nil {
-		return nil, fmt.Errorf("control: full-horizon MPC QP: %w", err)
-	}
-	next := m.next
-	for i := 0; i < n; i++ {
-		next[i] = freqs[i] + res.X[i] // first cumulative move z_1
-		if next[i] < m.cfg.FMinGHz {
-			next[i] = m.cfg.FMinGHz
-		} else if next[i] > m.cfg.FMaxGHz {
-			next[i] = m.cfg.FMaxGHz
-		}
-	}
-	return next, nil
+	return m.solve(freqs, locked, blockQ[1:lc+1])
 }
 
 // maxControlHorizon bounds the stack-allocated per-block accumulators of the
 // full-horizon formulation; real deployments use L_c of 2–4.
 const maxControlHorizon = 32
 
-// refreshHGen advances the H generation when the per-core R weights differ
-// bit-wise from the ones the current generation was minted for. Equality is
-// exact (Float64bits), never tolerance-based: a one-ulp weight change
-// changes H and must invalidate cached factors.
-func (m *MPC) refreshHGen(rweights []float64) {
-	if len(m.lastRW) == len(rweights) {
-		same := true
-		for i, w := range rweights {
-			if math.Float64bits(m.lastRW[i]) != math.Float64bits(w) {
-				same = false
-				break
+// solve sets the Eq. (9) move bounds and solves one QP per control-move
+// block b — rank-one weight a[b] on the shared k and diagonal, linear term
+// g's block b — warm-starting from the cached previous solution when the
+// configuration allows it and the locked mask is unchanged. It refreshes
+// the cache and LastSolve stats and returns the frequencies after the
+// first move.
+func (m *MPC) solve(freqs []float64, locked []bool, a []float64) ([]float64, error) {
+	n := len(freqs)
+	for i := 0; i < n; i++ {
+		if locked != nil && locked[i] {
+			m.lo[i], m.hi[i] = 0, 0 // no move for this core
+			continue
+		}
+		m.lo[i] = m.cfg.FMinGHz - freqs[i]
+		m.hi[i] = m.cfg.FMaxGHz - freqs[i]
+	}
+
+	warm := m.cfg.WarmStart && m.warmOK && maskUnchanged(m.warmMask, locked)
+	st := SolveStats{Converged: true, Warm: warm}
+	next := m.next
+	for b, ab := range a {
+		blk := m.warmX[b*n : (b+1)*n]
+		opt := qp.Options{Ws: m.ws}
+		if warm {
+			opt.Warm = blk
+		}
+		res, err := qp.Solve(qp.Problem{A: ab, K: m.cfg.KWPerGHz, D: m.d, G: m.g[b*n : (b+1)*n], Lo: m.lo, Hi: m.hi}, opt)
+		if err != nil {
+			m.warmOK = false
+			return nil, fmt.Errorf("control: MPC QP: %w", err)
+		}
+		if m.cfg.WarmStart {
+			copy(blk, res.X)
+		}
+		if b == 0 { // only the first (cumulative) move is actuated
+			for i := 0; i < n; i++ {
+				next[i] = freqs[i] + res.X[i]
+				// Guard against accumulation error; the QP bounds
+				// already enforce this up to tolerance.
+				if next[i] < m.cfg.FMinGHz {
+					next[i] = m.cfg.FMinGHz
+				} else if next[i] > m.cfg.FMaxGHz {
+					next[i] = m.cfg.FMaxGHz
+				}
 			}
 		}
-		if same {
-			return
-		}
-	}
-	m.hGen++
-	m.lastRW = append(m.lastRW[:0], rweights...)
-}
-
-// FactorCacheStats returns the QP workspace's Cholesky factor cache
-// counters, for the qp_cache_hits / qp_cache_evictions telemetry gauges.
-func (m *MPC) FactorCacheStats() qp.CacheStats { return m.ws.FactorCacheStats() }
-
-// solve runs the QP over the prepared h/g/lo/hi buffers, warm-starting from
-// the cached previous solution when the configuration allows it and the
-// locked mask is unchanged, and refreshes the cache and LastSolve stats.
-func (m *MPC) solve(locked []bool) (qp.Result, error) {
-	if m.cfg.LegacyQP {
-		res, err := qp.Solve(qp.Problem{H: m.h, G: m.g, Lo: m.lo, Hi: m.hi}, qp.Options{})
-		if err != nil {
-			return res, err
-		}
-		m.last = SolveStats{Sweeps: res.Sweeps, Converged: res.Converged, Objective: res.Objective}
-		return res, nil
-	}
-	opt := qp.Options{Ws: m.ws, HGen: m.hGen}
-	warm := false
-	if m.cfg.WarmStart && m.warmOK && maskUnchanged(m.warmMask, locked) {
-		opt.Warm = m.warmX
-		warm = true
-	}
-	res, err := qp.Solve(qp.Problem{H: m.h, G: m.g, Lo: m.lo, Hi: m.hi}, opt)
-	if err != nil {
-		m.warmOK = false
-		return res, err
+		st.Sweeps += res.Evals
+		st.Converged = st.Converged && res.Converged
+		st.Objective += res.Objective
 	}
 	if m.cfg.WarmStart {
-		copy(m.warmX, res.X)
 		for i := range m.warmMask {
 			m.warmMask[i] = locked != nil && locked[i]
 		}
 		m.warmOK = true
 	}
-	m.last = SolveStats{Sweeps: res.Sweeps, Converged: res.Converged, Objective: res.Objective, Warm: warm}
-	return res, nil
+	m.last = st
+	return next, nil
 }
 
 // maskUnchanged reports whether the cached mask equals the requested one

@@ -113,3 +113,29 @@ func TestMPCWarmStartDisabled(t *testing.T) {
 		}
 	}
 }
+
+// A locked core is fixed (lo = hi = 0), not held at a bound: a negative
+// gradient on it is no KKT violation. Counting it as one made the dense
+// solver report Converged=false after 77, 90 and 104 sweeps on exactly these
+// three solves, so every hardened run with a stuck actuator paid the
+// fallback and bumped qp_unconverged_total.
+func TestMPCLockedCoreConverges(t *testing.T) {
+	const n = 8
+	m := newTestMPC(t, n)
+	freqs := make([]float64, n)
+	weights := make([]float64, n)
+	for i := range freqs {
+		freqs[i] = 1.0
+		weights[i] = 1
+	}
+	locked := make([]bool, n)
+	locked[3] = true
+	for i := 0; i < 3; i++ {
+		if _, err := m.StepLocked(800, 900, freqs, weights, locked); err != nil {
+			t.Fatal(err)
+		}
+		if st := m.LastSolve(); !st.Converged || st.Sweeps > 3 {
+			t.Fatalf("solve %d: converged=%v after %d ψ evaluations, want converged within 3", i, st.Converged, st.Sweeps)
+		}
+	}
+}

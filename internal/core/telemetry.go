@@ -13,11 +13,9 @@ import (
 type coreMetrics struct {
 	enabled bool
 	// Server power controller.
-	solveSeconds     *telemetry.Histogram // wall clock; never in the trace
-	qpIterations     *telemetry.Histogram
-	qpUnconverged    *telemetry.Counter
-	qpCacheHits      *telemetry.Gauge
-	qpCacheEvictions *telemetry.Gauge
+	solveSeconds  *telemetry.Histogram // wall clock; never in the trace
+	qpIterations  *telemetry.Histogram
+	qpUnconverged *telemetry.Counter
 	// Measurement guard / watchdogs.
 	guardRejected *telemetry.Counter
 	guardConf     *telemetry.Gauge
@@ -35,10 +33,12 @@ type coreMetrics struct {
 	invBreaches *telemetry.Gauge
 }
 
-// qpSweepBuckets cover the solver's effort range: 0 means the Cholesky
-// shortcut, the default sweep cap is 500.
+// qpSweepBuckets cover the solver's effort range in ψ evaluations: 1 when
+// the starting point's linear piece holds the root, 2 for a warm re-solve
+// on an unchanged piece, up to ~16 per control-move block when the Newton
+// phase gives way to breakpoint bisection.
 func qpSweepBuckets() []float64 {
-	return []float64{0, 1, 2, 5, 10, 20, 50, 100, 200, 500}
+	return []float64{1, 2, 3, 4, 6, 8, 12, 16, 32, 64}
 }
 
 func newCoreMetrics(r *telemetry.Registry) coreMetrics {
@@ -51,14 +51,10 @@ func newCoreMetrics(r *telemetry.Registry) coreMetrics {
 			"wall-clock time of one server power controller step (excluded from golden comparisons)",
 			telemetry.DefTimeBuckets()),
 		qpIterations: r.Histogram("qp_iterations",
-			"QP coordinate-descent sweeps per MPC solve (0 = unconstrained shortcut)",
+			"QP ψ evaluations (O(n) root-search steps) per MPC solve, summed over control-move blocks",
 			qpSweepBuckets()),
 		qpUnconverged: r.Counter("qp_unconverged_total",
-			"MPC solves that hit the sweep cap before meeting tolerance"),
-		qpCacheHits: r.Gauge("qp_cache_hits",
-			"cumulative QP Cholesky factor cache hits (free-block refactorizations skipped)"),
-		qpCacheEvictions: r.Gauge("qp_cache_evictions",
-			"cumulative QP Cholesky factor cache LRU evictions"),
+			"MPC solves whose scaled KKT residual exceeded tolerance"),
 		guardRejected: r.Counter("guard_rejected_samples_total",
 			"power readings the measurement guard rejected"),
 		guardConf: r.Gauge("guard_confidence",

@@ -148,7 +148,7 @@ type RackHealth struct {
 	SoC        *WindowStat // observed UPS state of charge
 	LeaseAge   *WindowStat // seconds since the live lease was issued
 	Occupancy  *WindowStat // 1 when the rack's CB budget exceeds rated (overload slot held)
-	Sweeps     *WindowStat // QP solver sweeps per control period
+	Sweeps     *WindowStat // QP solver ψ evaluations per control period
 
 	gauges []gaugeBinding
 }
@@ -194,7 +194,7 @@ func (h *RackHealth) Bind(reg *telemetry.Registry, prefix string) {
 	add(h.SoC, "soc", "observed UPS state of charge")
 	add(h.LeaseAge, "lease_age_seconds", "age of the live control lease")
 	add(h.Occupancy, "slot_occupancy", "fraction of ticks holding an overload slot")
-	add(h.Sweeps, "qp_sweeps", "QP solver sweeps per control period")
+	add(h.Sweeps, "qp_sweeps", "QP solver ψ evaluations per control period")
 }
 
 // Publish refreshes the bound gauges from the current windows.

@@ -7,12 +7,15 @@ import (
 	"sprintcon/internal/qp"
 )
 
-// A 2-variable box-constrained QP: the unconstrained minimum (1, 2) is cut
-// off by the box [0, 1.5]².
+// Two cores share a power budget: the rank-one term ½·A·(kᵀx)² couples
+// their moves, the diagonal penalizes each. The unconstrained minimum
+// (0.417, 1.917) is cut off by the box [0, 1.5]².
 func ExampleSolve() {
 	p := qp.Problem{
-		H:  mathx.Identity(2),
-		G:  mathx.Vector{-1, -2},
+		A:  1,
+		K:  mathx.Vector{0.5, 0.5},
+		D:  mathx.Vector{1, 1},
+		G:  mathx.Vector{-1, -2.5},
 		Lo: mathx.Vector{0, 0},
 		Hi: mathx.Vector{1.5, 1.5},
 	}
@@ -20,7 +23,7 @@ func ExampleSolve() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("x = [%.1f %.1f], converged=%v\n", res.X[0], res.X[1], res.Converged)
+	fmt.Printf("x = [%.3f %.3f], converged=%v\n", res.X[0], res.X[1], res.Converged)
 	// Output:
-	// x = [1.0 1.5], converged=true
+	// x = [0.500 1.500], converged=true
 }

@@ -7,37 +7,25 @@ import (
 	"sprintcon/internal/mathx"
 )
 
-// constrainedProblem builds an n-variable strictly convex QP whose
-// unconstrained minimizer violates the box, so the solver must run
-// coordinate descent (the MPC's steady-state shape: dense rank-one tracking
-// term plus a positive diagonal).
+// constrainedProblem builds an n-variable MPC-shaped problem (a dominant
+// rank-one tracking term plus a positive diagonal) whose unconstrained
+// minimizer violates the box, with a mixed active set: some coordinates
+// are pulled past the upper bound, others stay interior.
 func constrainedProblem(n int) Problem {
-	h := mathx.NewMatrix(n, n)
 	k := mathx.NewVector(n)
+	g := mathx.NewVector(n)
 	for i := range k {
 		k[i] = 9 + 0.1*float64(i%7)
-	}
-	// Weight matches the MPC's Σh² ≈ 30 over a 4-period horizon; the
-	// dominant rank-one term is what makes cyclic descent take many
-	// sweeps from a cold start.
-	h.OuterAdd(30, k, k)
-	g := mathx.NewVector(n)
-	lo := mathx.NewVector(n)
-	hi := mathx.NewVector(n)
-	for i := 0; i < n; i++ {
-		h.Inc(i, i, 400)
-		// Pull some coordinates past the upper bound and leave others
-		// interior, so the active set is mixed and cyclic descent needs
-		// many sweeps to untangle the coupling.
 		g[i] = -(4000 + 2500*float64(i%5)) * k[i]
-		lo[i] = -1.6
-		hi[i] = 0.4
 	}
-	return Problem{H: h, G: g, Lo: lo, Hi: hi}
+	// A matches the MPC's Σh² = 30 over a 4-period horizon.
+	return Problem{A: 30, K: k, D: mathx.Constant(n, 400), G: g,
+		Lo: mathx.Constant(n, -1.6), Hi: mathx.Constant(n, 0.4)}
 }
 
 // perturb returns a copy of p with the linear term nudged — the shape of an
-// MPC re-solve one control period later (same H, slightly different gap).
+// MPC re-solve one control period later (same Hessian, slightly different
+// gap).
 func perturb(p Problem, eps float64) Problem {
 	q := p
 	q.G = p.G.Clone()
@@ -47,113 +35,100 @@ func perturb(p Problem, eps float64) Problem {
 	return q
 }
 
-// Warm-starting must reach the same minimizer (within KKT tolerance) as a
-// cold solve, in strictly fewer sweeps, when re-solving a perturbed problem
-// from the previous solution.
+// Warm-starting must reach the same minimizer as a cold solve, meeting the
+// same scaled KKT tolerance with objectives equal to 1e-12 relative, in no
+// more ψ evaluations, when re-solving a perturbed problem from the previous
+// solution.
 func TestWarmVsColdEquivalence(t *testing.T) {
-	p := constrainedProblem(64)
-	base, err := Solve(p, Options{MaxSweeps: 10000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !base.Converged || base.Sweeps == 0 {
-		t.Fatalf("base solve should converge via coordinate descent, got %+v", base)
-	}
-
-	next := perturb(p, 0.01)
-	cold, err := Solve(next, Options{MaxSweeps: 10000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmPoint := base.X.Clone()
-	warm, err := Solve(next, Options{Warm: warmPoint, MaxSweeps: 10000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cold.Converged || !warm.Converged {
-		t.Fatalf("both solves must converge: cold=%+v warm=%+v", cold, warm)
-	}
-
-	// Same minimizer within the KKT tolerance: both satisfy optimality of
-	// the same strictly convex problem, so they must agree closely.
-	for i := range cold.X {
-		if math.Abs(cold.X[i]-warm.X[i]) > 1e-6 {
-			t.Fatalf("minimizers diverge at %d: cold %v warm %v", i, cold.X[i], warm.X[i])
+	for _, n := range []int{8, 64} {
+		p := constrainedProblem(n)
+		base, err := Solve(p, Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// The solver's tolerance scales with the gradient magnitude; the warm
-	// solution must meet the same scaled KKT tolerance the cold one does.
-	tol := defaultTol * (1 + next.G.NormInf())
-	if r := next.KKTResidual(warm.X); r > tol*10 {
-		t.Fatalf("warm solution KKT residual %g exceeds %g", r, tol*10)
-	}
-	if warm.Sweeps >= cold.Sweeps {
-		t.Fatalf("warm start must use strictly fewer sweeps: warm %d vs cold %d", warm.Sweeps, cold.Sweeps)
-	}
-	// The warm input must not have been written.
-	for i := range warmPoint {
-		if warmPoint[i] != base.X[i] {
-			t.Fatal("Options.Warm was mutated")
+		for _, eps := range []float64{0.001, 0.01, 0.2, -0.5} {
+			next := perturb(p, eps)
+			cold, err := Solve(next, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			warmPoint := base.X.Clone()
+			warm, err := Solve(next, Options{Warm: warmPoint})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !cold.Converged || !warm.Converged {
+				t.Fatalf("n=%d eps=%g: both solves must converge: cold %g warm %g", n, eps, cold.Residual, warm.Residual)
+			}
+			if d := math.Abs(cold.Objective - warm.Objective); d > 1e-12*math.Abs(cold.Objective) {
+				t.Fatalf("n=%d eps=%g: objectives differ by %g: cold %v warm %v", n, eps, d, cold.Objective, warm.Objective)
+			}
+			for i := range cold.X {
+				if math.Abs(cold.X[i]-warm.X[i]) > 1e-9 {
+					t.Fatalf("n=%d eps=%g: minimizers diverge at %d: cold %v warm %v", n, eps, i, cold.X[i], warm.X[i])
+				}
+			}
+			if eps == 0.01 && warm.Evals > cold.Evals {
+				t.Fatalf("n=%d: a 1%% re-solve took %d evaluations warm vs %d cold", n, warm.Evals, cold.Evals)
+			}
+			for i := range warmPoint {
+				if warmPoint[i] != base.X[i] {
+					t.Fatal("Options.Warm was mutated")
+				}
+			}
 		}
 	}
 }
 
 // A workspace solve must not allocate — this is the hot path's zero-alloc
-// contract (DESIGN.md §10).
+// contract (DESIGN.md §10) — neither warm nor cold, including the
+// breakpoint-bisection fallback.
 func TestSolveWorkspaceZeroAlloc(t *testing.T) {
 	p := constrainedProblem(32)
 	ws := NewWorkspace(32)
 	warm := mathx.NewVector(32)
-
-	// Prime: first solve fills the workspace and the warm point.
 	res, err := Solve(p, Options{Ws: ws})
 	if err != nil {
 		t.Fatal(err)
 	}
 	copy(warm, res.X)
+	far := mathx.Constant(32, -1.6) // a warm point many pieces from the root
 
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := Solve(p, Options{Ws: ws, Warm: warm}); err != nil {
-			t.Fatal(err)
+	for name, opt := range map[string]Options{
+		"warm":     {Ws: ws, Warm: warm},
+		"cold":     {Ws: ws},
+		"far warm": {Ws: ws, Warm: far},
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := Solve(p, opt); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s workspace solve allocates %.1f times per run, want 0", name, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm workspace solve allocates %.1f times per run, want 0", allocs)
-	}
-
-	// The cold workspace path (Cholesky + fallback descent) must be
-	// allocation-free too.
-	allocs = testing.AllocsPerRun(100, func() {
-		if _, err := Solve(p, Options{Ws: ws}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("cold workspace solve allocates %.1f times per run, want 0", allocs)
 	}
 }
 
-// The fast path must agree with the legacy path on the same problem. Both
-// get a generous sweep budget so the comparison is between converged
-// minimizers (the legacy solver needs ~800 sweeps at n=64; the active-set
-// fast path needs a few dozen factorizations at most).
-func TestFastMatchesLegacy(t *testing.T) {
+// The structured solver must agree with the dense active-set oracle on the
+// MPC-shaped problem: objective no worse, minimizers equal.
+func TestStructuredMatchesOracle(t *testing.T) {
 	for _, n := range []int{1, 4, 16, 64} {
 		p := constrainedProblem(n)
-		legacy, err := Solve(p, Options{MaxSweeps: 10000})
+		got, err := Solve(p, Options{Ws: NewWorkspace(n)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		fast, err := Solve(p, Options{Ws: NewWorkspace(n)})
-		if err != nil {
-			t.Fatal(err)
+		want, _, ok := newDense(p).solve(nil)
+		if !got.Converged || !ok {
+			t.Fatalf("n=%d: both solvers must converge: structured %g oracle %v", n, got.Residual, ok)
 		}
-		if !legacy.Converged || !fast.Converged {
-			t.Fatalf("n=%d: both paths must converge: legacy=%+v fast=%+v", n, legacy.Converged, fast.Converged)
+		if f := p.objective(want); got.Objective > f+1e-12*math.Abs(f) {
+			t.Fatalf("n=%d: objective %v worse than the oracle's %v", n, got.Objective, f)
 		}
-		for i := range legacy.X {
-			if math.Abs(legacy.X[i]-fast.X[i]) > 1e-6 {
-				t.Fatalf("n=%d: legacy and fast minimizers diverge at %d: %v vs %v", n, i, legacy.X[i], fast.X[i])
+		for i := range want {
+			if math.Abs(want[i]-got.X[i]) > 1e-9 {
+				t.Fatalf("n=%d: oracle and structured minimizers diverge at %d: %v vs %v", n, i, want[i], got.X[i])
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package qp
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,28 +10,29 @@ import (
 	"sprintcon/internal/mathx"
 )
 
-func spd(rng *rand.Rand, n int) *mathx.Matrix {
-	b := mathx.NewMatrix(n, n)
+// randomProblem draws an n-variable problem with mixed-sign coupling, so
+// ψ's pieces bend both ways.
+func randomProblem(rng *rand.Rand, n int) Problem {
+	p := Problem{A: 10 * rng.Float64(), K: mathx.NewVector(n), D: mathx.NewVector(n),
+		G: mathx.NewVector(n), Lo: mathx.NewVector(n), Hi: mathx.NewVector(n)}
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			b.Set(i, j, rng.NormFloat64())
-		}
+		p.K[i] = rng.NormFloat64() * 5
+		p.D[i] = 0.5 + 3*rng.Float64()
+		p.G[i] = rng.NormFloat64() * 3
+		a, b := rng.NormFloat64(), rng.NormFloat64()
+		p.Lo[i], p.Hi[i] = math.Min(a, b), math.Max(a, b)
 	}
-	h := b.Transpose().Mul(b)
-	for i := 0; i < n; i++ {
-		h.Inc(i, i, 0.5)
-	}
-	return h
+	return p
+}
+
+// diagonal returns the separable problem ½·xᵀdiag(d)x + gᵀx (A = 0).
+func diagonal(d, g, lo, hi mathx.Vector) Problem {
+	return Problem{K: mathx.NewVector(len(g)), D: d, G: g, Lo: lo, Hi: hi}
 }
 
 func TestSolveUnconstrainedInterior(t *testing.T) {
 	// min ½xᵀIx − [1 2]x with wide bounds → x = [1 2].
-	p := Problem{
-		H:  mathx.Identity(2),
-		G:  mathx.Vector{-1, -2},
-		Lo: mathx.Constant(2, -100),
-		Hi: mathx.Constant(2, 100),
-	}
+	p := diagonal(mathx.Constant(2, 1), mathx.Vector{-1, -2}, mathx.Constant(2, -100), mathx.Constant(2, 100))
 	r, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -41,20 +43,15 @@ func TestSolveUnconstrainedInterior(t *testing.T) {
 	if math.Abs(r.X[0]-1) > 1e-9 || math.Abs(r.X[1]-2) > 1e-9 {
 		t.Fatalf("X = %v, want [1 2]", r.X)
 	}
-	if r.Sweeps != 0 {
-		t.Fatalf("interior solution should use the Cholesky fast path, sweeps=%d", r.Sweeps)
+	if r.Evals != 1 {
+		t.Fatalf("interior solution should be the cold start's own piece, evals=%d", r.Evals)
 	}
 }
 
 func TestSolveClampedToBounds(t *testing.T) {
-	// Unconstrained minimum [1 2] but box [0,0.5]² → both at upper bound?
-	// For identity H coordinates decouple: x = [0.5, 0.5].
-	p := Problem{
-		H:  mathx.Identity(2),
-		G:  mathx.Vector{-1, -2},
-		Lo: mathx.Constant(2, 0),
-		Hi: mathx.Constant(2, 0.5),
-	}
+	// Unconstrained minimum [1 2] but box [0,0.5]²; with A = 0 the
+	// coordinates decouple: x = [0.5, 0.5].
+	p := diagonal(mathx.Constant(2, 1), mathx.Vector{-1, -2}, mathx.Constant(2, 0), mathx.Constant(2, 0.5))
 	r, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -68,13 +65,10 @@ func TestSolveClampedToBounds(t *testing.T) {
 }
 
 func TestSolveMatchesGridSearch2D(t *testing.T) {
-	// Coupled 2-D problem verified against a fine grid search.
-	h := mathx.NewMatrix(2, 2)
-	h.Set(0, 0, 2)
-	h.Set(0, 1, 0.8)
-	h.Set(1, 0, 0.8)
-	h.Set(1, 1, 1.5)
-	p := Problem{H: h, G: mathx.Vector{1.0, -2.0}, Lo: mathx.Vector{-1, -1}, Hi: mathx.Vector{1, 1}}
+	// Coupled 2-D problem, H = [[2 0.8] [0.8 1.5]] = 0.8·[1 1]ᵀ[1 1] +
+	// diag(1.2, 0.7), verified against a fine grid search.
+	p := Problem{A: 0.8, K: mathx.Vector{1, 1}, D: mathx.Vector{1.2, 0.7},
+		G: mathx.Vector{1.0, -2.0}, Lo: mathx.Vector{-1, -1}, Hi: mathx.Vector{1, 1}}
 
 	r, err := Solve(p, Options{})
 	if err != nil {
@@ -86,7 +80,7 @@ func TestSolveMatchesGridSearch2D(t *testing.T) {
 	for i := 0; i <= steps; i++ {
 		for j := 0; j <= steps; j++ {
 			x := mathx.Vector{-1 + 2*float64(i)/steps, -1 + 2*float64(j)/steps}
-			if v := p.Objective(x); v < best {
+			if v := p.objective(x); v < best {
 				best, bx, by = v, x[0], x[1]
 			}
 		}
@@ -102,26 +96,22 @@ func TestSolveMatchesGridSearch2D(t *testing.T) {
 func TestSolveSatisfiesKKTRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(20)
-		p := Problem{H: spd(rng, n), G: mathx.NewVector(n), Lo: mathx.NewVector(n), Hi: mathx.NewVector(n)}
-		for i := 0; i < n; i++ {
-			p.G[i] = rng.NormFloat64() * 3
-			a, b := rng.NormFloat64(), rng.NormFloat64()
-			p.Lo[i], p.Hi[i] = math.Min(a, b), math.Max(a, b)
-		}
+		p := randomProblem(rng, 1+rng.Intn(20))
 		r, err := Solve(p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !r.Converged {
-			t.Fatalf("trial %d did not converge (KKT %g)", trial, p.KKTResidual(r.X))
+			t.Fatalf("trial %d did not converge (KKT %g)", trial, r.Residual)
 		}
 		for i := range r.X {
-			if r.X[i] < p.Lo[i]-1e-9 || r.X[i] > p.Hi[i]+1e-9 {
+			if r.X[i] < p.Lo[i] || r.X[i] > p.Hi[i] {
 				t.Fatalf("trial %d: X[%d]=%v outside [%v,%v]", trial, i, r.X[i], p.Lo[i], p.Hi[i])
 			}
 		}
-		if res := p.KKTResidual(r.X); res > 1e-6*(1+p.G.NormInf()) {
+		// The oracle's unscaled residual, as the dense solver measured it.
+		q := newDense(p)
+		if res := q.residual(r.X, q.gradient(r.X)); res > 1e-9*(1+p.G.NormInf()) {
 			t.Fatalf("trial %d: KKT residual %v", trial, res)
 		}
 	}
@@ -132,23 +122,17 @@ func TestSolveSatisfiesKKTRandom(t *testing.T) {
 func TestSolveBeatsRandomFeasiblePointsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(8)
-		p := Problem{H: spd(rng, n), G: mathx.NewVector(n), Lo: mathx.NewVector(n), Hi: mathx.NewVector(n)}
-		for i := 0; i < n; i++ {
-			p.G[i] = rng.NormFloat64()
-			p.Lo[i] = -1 - rng.Float64()
-			p.Hi[i] = 1 + rng.Float64()
-		}
+		p := randomProblem(rng, 2+rng.Intn(8))
 		r, err := Solve(p, Options{})
 		if err != nil || !r.Converged {
 			return false
 		}
+		x := mathx.NewVector(len(p.G))
 		for k := 0; k < 50; k++ {
-			x := mathx.NewVector(n)
 			for i := range x {
 				x[i] = p.Lo[i] + rng.Float64()*(p.Hi[i]-p.Lo[i])
 			}
-			if p.Objective(x) < r.Objective-1e-7 {
+			if p.objective(x) < r.Objective-1e-7 {
 				return false
 			}
 		}
@@ -160,84 +144,85 @@ func TestSolveBeatsRandomFeasiblePointsProperty(t *testing.T) {
 }
 
 func TestValidateRejectsBadProblems(t *testing.T) {
-	good := Problem{H: mathx.Identity(2), G: mathx.Vector{0, 0}, Lo: mathx.Vector{0, 0}, Hi: mathx.Vector{1, 1}}
+	good := Problem{A: 1, K: mathx.Vector{1, 1}, D: mathx.Vector{1, 1}, G: mathx.Vector{0, 0}, Lo: mathx.Vector{0, 0}, Hi: mathx.Vector{1, 1}}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("good problem rejected: %v", err)
 	}
-	bad := good
-	bad.Lo = mathx.Vector{2, 0}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("lo > hi should be rejected")
-	}
-	bad = good
-	bad.G = mathx.Vector{0}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("dimension mismatch should be rejected")
-	}
-	h := mathx.NewMatrix(2, 2) // zero diagonal → not strictly convex
-	bad = Problem{H: h, G: mathx.Vector{0, 0}, Lo: mathx.Vector{0, 0}, Hi: mathx.Vector{1, 1}}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("zero-diagonal H should be rejected")
-	}
-	if _, err := Solve(bad, Options{}); err == nil {
-		t.Fatal("Solve must propagate validation errors")
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Problem)
+		want   error
+	}{
+		{"lo > hi", func(p *Problem) { p.Lo = mathx.Vector{2, 0} }, ErrBounds},
+		{"short g", func(p *Problem) { p.G = mathx.Vector{0} }, ErrDimension},
+		{"short k", func(p *Problem) { p.K = mathx.Vector{1} }, ErrDimension},
+		{"zero diagonal", func(p *Problem) { p.D = mathx.Vector{1, 0} }, ErrNotConvex},
+		{"negative A", func(p *Problem) { p.A = -1 }, ErrNotConvex},
+		{"NaN A", func(p *Problem) { p.A = math.NaN() }, ErrNotConvex},
+	} {
+		bad := good
+		tc.mutate(&bad)
+		if err := bad.Validate(); !errors.Is(err, tc.want) {
+			t.Fatalf("%s: Validate = %v, want %v", tc.name, err, tc.want)
+		}
+		if _, err := Solve(bad, Options{}); !errors.Is(err, tc.want) {
+			t.Fatalf("%s: Solve must propagate validation errors, got %v", tc.name, err)
+		}
 	}
 }
 
 func TestSolveEmptyProblem(t *testing.T) {
-	p := Problem{H: mathx.NewMatrix(0, 0), G: mathx.Vector{}, Lo: mathx.Vector{}, Hi: mathx.Vector{}}
-	r, err := Solve(p, Options{})
+	r, err := Solve(Problem{}, Options{})
 	if err != nil || !r.Converged || len(r.X) != 0 {
 		t.Fatalf("empty problem: r=%+v err=%v", r, err)
 	}
 }
 
+// Degenerate boxes lo == hi pin the solution exactly, and a pinned
+// coordinate has no optimality condition: a negative gradient on it is not
+// a KKT violation, so the solve converges.
 func TestSolveEqualBounds(t *testing.T) {
-	// Degenerate box lo==hi pins the solution exactly.
-	p := Problem{
-		H:  mathx.Identity(3),
-		G:  mathx.Vector{5, -5, 0},
-		Lo: mathx.Vector{0.3, 0.3, 0.3},
-		Hi: mathx.Vector{0.3, 0.3, 0.3},
-	}
-	r, err := Solve(p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range r.X {
-		if r.X[i] != 0.3 {
-			t.Fatalf("X = %v, want all 0.3", r.X)
+	for _, a := range []float64{0, 30} {
+		p := Problem{A: a, K: mathx.Vector{9.6, 9.6, 9.6}, D: mathx.Constant(3, 1),
+			G: mathx.Vector{5, -5, 0}, Lo: mathx.Constant(3, 0.3), Hi: mathx.Constant(3, 0.3)}
+		r, err := Solve(p, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range r.X {
+			if r.X[i] != 0.3 {
+				t.Fatalf("A=%g: X = %v, want all 0.3", a, r.X)
+			}
+		}
+		if !r.Converged || r.Residual != 0 {
+			t.Fatalf("A=%g: pinned coordinates reported residual %g (converged=%v)", a, r.Residual, r.Converged)
 		}
 	}
 }
 
 func TestSolveMPCSizedProblem(t *testing.T) {
 	// 128 variables ≈ one frequency move per batch core on the rack.
-	rng := rand.New(rand.NewSource(99))
-	n := 128
-	p := Problem{H: spd(rng, n), G: mathx.NewVector(n), Lo: mathx.Constant(n, -0.4), Hi: mathx.Constant(n, 0.4)}
-	for i := range p.G {
-		p.G[i] = rng.NormFloat64() * 5
-	}
+	p := constrainedProblem(128)
 	r, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !r.Converged {
-		t.Fatalf("128-var problem did not converge (KKT %g)", p.KKTResidual(r.X))
+		t.Fatalf("128-var problem did not converge (KKT %g)", r.Residual)
+	}
+	x, _, _ := newDense(p).solve(nil)
+	if f := p.objective(x); r.Objective > f+1e-12*math.Abs(f) {
+		t.Fatalf("objective %v worse than the oracle's %v", r.Objective, f)
 	}
 }
 
 func BenchmarkSolve128(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	n := 128
-	p := Problem{H: spd(rng, n), G: mathx.NewVector(n), Lo: mathx.Constant(n, -0.4), Hi: mathx.Constant(n, 0.4)}
-	for i := range p.G {
-		p.G[i] = rng.NormFloat64() * 5
-	}
+	p := constrainedProblem(128)
+	ws := NewWorkspace(128)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Solve(p, Options{}); err != nil {
+		if _, err := Solve(p, Options{Ws: ws}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -212,6 +212,11 @@ func (r *Rack) BindJob(ref CoreRef, j *workload.BatchJob) error {
 // Job returns the job bound to a core (nil if none).
 func (r *Rack) Job(ref CoreRef) *workload.BatchJob { return r.jobs[ref] }
 
+// BatchJobs returns the bound jobs in batch-core order, nil for unbound
+// cores: the per-control-period sweeps walk it instead of hashing a CoreRef
+// per core. The slice is the rack's own; callers must not modify it.
+func (r *Rack) BatchJobs() []*workload.BatchJob { return r.jobSeq }
+
 // Jobs returns all bound jobs in batch-core order (skipping unbound cores).
 func (r *Rack) Jobs() []*workload.BatchJob {
 	out := make([]*workload.BatchJob, 0, len(r.jobs))

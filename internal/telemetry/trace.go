@@ -123,8 +123,8 @@ type MPCDecision struct {
 	// ceiling (active box constraints).
 	ClampedLo int `json:"clamped_lo"`
 	ClampedHi int `json:"clamped_hi"`
-	// QPSweeps and QPConverged report the solver's effort and verdict
-	// (0 sweeps means the unconstrained Cholesky shortcut was feasible).
+	// QPSweeps and QPConverged report the solver's effort (ψ evaluations,
+	// summed over control-move blocks) and verdict.
 	QPSweeps    int  `json:"qp_sweeps"`
 	QPConverged bool `json:"qp_converged"`
 	// LockedCores counts cores excluded from the move set (stuck actuator
