@@ -36,14 +36,18 @@ chaos-service:
 soak:
 	SOAK_RUNS=40 $(GO) test -run TestSoak -v ./internal/core/ ./internal/cluster/
 
-# Fuzz smoke: the checkpoint decoder, the scenario loader and the
-# structured QP solver (differential against the dense oracle), a few
-# seconds each (CI runs the same budget; leave the fuzzers running longer
-# locally with go test -fuzz=... -fuzztime=10m).
+# Fuzz smoke: the checkpoint decoder, the scenario loader, the structured
+# QP solver (differential against the dense oracle), the P-state quantizer,
+# the CSV trace loader and the batch-job progress model, a few seconds each
+# (CI runs the same budget; leave the fuzzers running longer locally with
+# go test -fuzz=... -fuzztime=10m).
 fuzz:
 	$(GO) test -fuzz='^FuzzDecode$$' -fuzztime=10s -run='^$$' ./internal/checkpoint/
 	$(GO) test -fuzz='^FuzzScenarioJSON$$' -fuzztime=10s -run='^$$' ./internal/sim/
 	$(GO) test -fuzz='^FuzzQP$$' -fuzztime=10s -run='^$$' ./internal/qp/
+	$(GO) test -fuzz='^FuzzQuantize$$' -fuzztime=10s -run='^$$' ./internal/cpu/
+	$(GO) test -fuzz='^FuzzTraceFromCSV$$' -fuzztime=10s -run='^$$' ./internal/workload/
+	$(GO) test -fuzz='^FuzzBatchAdvance$$' -fuzztime=10s -run='^$$' ./internal/workload/
 
 # Full pinned-scenario benchmark: writes BENCH_<date>.json and compares
 # against the committed baseline (skipped when the baseline's -quick flag

@@ -58,6 +58,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -65,7 +66,6 @@ import (
 	"sprintcon/internal/cluster"
 	"sprintcon/internal/core"
 	"sprintcon/internal/hier"
-	"sprintcon/internal/mathx"
 	"sprintcon/internal/obs"
 	"sprintcon/internal/qp"
 	"sprintcon/internal/sim"
@@ -192,33 +192,33 @@ func sortedKeys(m map[string]float64) []string {
 // 0) and the mean wall time per solve.
 func qpWarmVsCold() Scenario {
 	const n = 64
-	k := mathx.NewVector(n)
-	d := mathx.Constant(n, 400)
-	g := mathx.NewVector(n)
+	k, d, g := make([]float64, n), make([]float64, n), make([]float64, n)
+	lo, hi := make([]float64, n), make([]float64, n)
 	for i := range k {
 		k[i] = 9 + 0.1*float64(i%7)
-		g[i] = -(4000 + 2500*float64(i%5)) * k[i]
+		d[i], g[i] = 400, -(4000+2500*float64(i%5))*k[i]
+		lo[i], hi[i] = -1.6, 0.4
 	}
-	p := qp.Problem{A: 30, K: k, D: d, G: g, Lo: mathx.Constant(n, -1.6), Hi: mathx.Constant(n, 0.4)}
+	p := qp.Problem{A: 30, K: k, D: d, G: g, Lo: lo, Hi: hi}
 
 	base, err := qp.Solve(p, qp.Options{})
 	if err != nil {
 		fatal(err)
 	}
 	pert := p
-	pert.G = g.Clone()
+	pert.G = slices.Clone(g)
 	for i := range pert.G {
 		pert.G[i] *= 1.01
 	}
 	ws := qp.NewWorkspace(n)
-	solve := func(warm mathx.Vector) qp.Result {
+	solve := func(warm []float64) qp.Result {
 		res, err := qp.Solve(pert, qp.Options{Warm: warm, Ws: ws})
 		if err != nil {
 			fatal(err)
 		}
 		return res
 	}
-	timed := func(warm mathx.Vector) float64 {
+	timed := func(warm []float64) float64 {
 		const reps = 2000
 		t0 := time.Now()
 		for i := 0; i < reps; i++ {

@@ -350,11 +350,6 @@ func (a *Allocator) PBatchAt(now float64) float64 {
 	return clampF(pcb-a.reserveW-a.idleW+a.shiftW, a.bMin, a.bMax)
 }
 
-// PBatch returns the recovery-phase (rated P_cb) batch budget.
-func (a *Allocator) PBatch() float64 {
-	return clampF(a.cfg.RatedPowerW-a.reserveW-a.idleW+a.shiftW, a.bMin, a.bMax)
-}
-
 // ObserveHeadroom records one interactive-power sample for the adaptation
 // window (paper: "the fluctuation of interactive workload power
 // consumption" is the second P_batch factor).

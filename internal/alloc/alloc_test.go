@@ -273,8 +273,8 @@ func TestShiftCappedByBatchMax(t *testing.T) {
 	a := mustNew(t)
 	a.StartBurst(0, 900, idleW, 3000)
 	a.MaybeUpdatePBatch(31, 6000, 0, 2500) // absurd deadline demand
-	if got := a.PBatch(); got > 2500+1e-9 {
-		t.Fatalf("recovery budget %v exceeds batch max 2500", got)
+	if got := a.PBatchAt(31); got > 2500+1e-9 {
+		t.Fatalf("batch budget %v exceeds batch max 2500", got)
 	}
 }
 

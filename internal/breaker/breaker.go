@@ -153,15 +153,6 @@ func (b *Breaker) TripTime(o float64) float64 {
 	return b.budget / (o*o - 1)
 }
 
-// HeadroomSeconds returns how long the breaker can sustain overload degree o
-// from its current thermal state before tripping; +Inf for o ≤ 1.
-func (b *Breaker) HeadroomSeconds(o float64) float64 {
-	if o <= 1 {
-		return math.Inf(1)
-	}
-	return (b.budget - b.theta) / (o*o - 1)
-}
-
 // CanReclose reports whether a tripped breaker has cooled enough to close
 // again (θ back to zero). Real breakers require a manual or motorized
 // reclose; the simulation models that as Reclose after cooling.

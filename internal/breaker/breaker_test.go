@@ -166,22 +166,6 @@ func TestNearTripFiresBeforeTrip(t *testing.T) {
 	}
 }
 
-func TestHeadroomSecondsDecreasesUnderLoad(t *testing.T) {
-	b := mustNew(t)
-	h0 := b.HeadroomSeconds(1.25)
-	b.Step(1.25*b.RatedPower(), 30)
-	h1 := b.HeadroomSeconds(1.25)
-	if h1 >= h0 {
-		t.Fatalf("headroom did not shrink: %v -> %v", h0, h1)
-	}
-	if math.Abs((h0-h1)-30) > 1e-6 {
-		t.Fatalf("headroom at the same overload should shrink by wall time, got %v", h0-h1)
-	}
-	if !math.IsInf(b.HeadroomSeconds(0.9), 1) {
-		t.Fatal("headroom below rating must be infinite")
-	}
-}
-
 func TestRecoveryWhileLoadedAtRating(t *testing.T) {
 	b := mustNew(t)
 	b.Step(1.25*b.RatedPower(), 100) // accumulate

@@ -166,17 +166,3 @@ func TestFileStoreAtomicRoundTrip(t *testing.T) {
 		t.Fatalf("second save not visible: step %d", got2.Step)
 	}
 }
-
-func TestMemStoreDrop(t *testing.T) {
-	ms := NewMemStore()
-	if _, err := ms.Save(sampleSnapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if s, err := ms.Latest(); s == nil || err != nil {
-		t.Fatalf("Latest after Save: %v, %v", s, err)
-	}
-	ms.Drop()
-	if s, err := ms.Latest(); s != nil || err != nil {
-		t.Fatalf("Latest after Drop: %v, %v", s, err)
-	}
-}

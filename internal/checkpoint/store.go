@@ -50,10 +50,6 @@ func (m *MemStore) Latest() (*Snapshot, error) {
 	return m.last, nil
 }
 
-// Drop discards the retained snapshot (test support for the
-// absent-checkpoint restart path).
-func (m *MemStore) Drop() { m.last = nil }
-
 // FileStore persists the latest snapshot to one file, atomically: each Save
 // encodes to a temp file in the same directory and renames it over the
 // target, so a crash mid-write leaves the previous intact checkpoint.

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"math"
 
-	"sprintcon/internal/mathx"
 	"sprintcon/internal/qp"
 )
 
@@ -58,22 +57,10 @@ type MPCConfig struct {
 	// Eq. (9) bounds stay simple boxes and the same QP solver applies;
 	// only the first move is actuated.
 	FullHorizon bool
-	// WarmStart seeds each period's QP with the previous period's solution
-	// (the receding-horizon problems differ only by the measured gap and
-	// the shifted bounds, so the previous minimizer's bound pattern is
-	// usually the new one and the solver's root search starts on the
-	// right linear piece). The controller invalidates the cached solution
-	// whenever the locked-core mask changes — a stuck actuator being
-	// excluded, a probe rejoining, a server crashing — and the cache dies
-	// with the controller, so a core-set change or a model rebuild
-	// (online estimation) always re-solves cold. The warm solve converges
-	// to the same minimizer within the QP's KKT tolerance; see the
-	// warm-vs-cold equivalence test in the qp package.
-	WarmStart bool
 }
 
 // DefaultMPCConfig returns the tuning used throughout the evaluation for a
-// rack with the given per-core model slopes (W/GHz), warm-starting enabled.
+// rack with the given per-core model slopes (W/GHz).
 // With the paper's constant-move prediction simplification, the closed loop
 // closes roughly Σh·e_h/Σh² ≈ 40 % of the power gap per period, settling
 // well within the allocator's 30 s period at the 4 s control period.
@@ -88,7 +75,6 @@ func DefaultMPCConfig(kWPerGHz []float64) MPCConfig {
 		KWPerGHz:          kWPerGHz,
 		FMinGHz:           0.4,
 		FMaxGHz:           2.0,
-		WarmStart:         true,
 	}
 }
 
@@ -139,15 +125,23 @@ type MPC struct {
 	// DESIGN.md §10). The QP's diagonal weights and bounds are per core
 	// (sized n); its linear term holds one n-block per control move
 	// (n·ControlHorizon for FullHorizon), as does warmX below.
-	d, lo, hi mathx.Vector
-	g         mathx.Vector
+	d, lo, hi []float64
+	g         []float64
 	next      []float64
 	ws        *qp.Workspace
 
 	// Warm-start cache: the previous period's QP solution and the locked
-	// mask it was solved under. warmOK is false until the first solve and
-	// whenever the mask changes.
-	warmX    mathx.Vector
+	// mask it was solved under. The receding-horizon problems differ only
+	// by the measured gap and the shifted bounds, so the previous
+	// minimizer's bound pattern is usually the new one and the solver's
+	// root search starts on the right linear piece. warmOK is false until
+	// the first solve and whenever the mask changes — a stuck actuator
+	// being excluded, a probe rejoining, a server crashing — and the cache
+	// dies with the controller, so a core-set change or a model rebuild
+	// (online estimation) always re-solves cold. The warm solve converges
+	// to the same minimizer within the QP's KKT tolerance; see the
+	// warm-vs-cold equivalence test in the qp package.
+	warmX    []float64
 	warmMask []bool
 	warmOK   bool
 }
@@ -200,13 +194,13 @@ func NewMPC(cfg MPCConfig) (*MPC, error) {
 	}
 	return &MPC{
 		cfg:      cfg,
-		d:        mathx.NewVector(n),
-		lo:       mathx.NewVector(n),
-		hi:       mathx.NewVector(n),
-		g:        mathx.NewVector(nv),
+		d:        make([]float64, n),
+		lo:       make([]float64, n),
+		hi:       make([]float64, n),
+		g:        make([]float64, nv),
 		next:     make([]float64, n),
 		ws:       qp.NewWorkspace(n),
-		warmX:    mathx.NewVector(nv),
+		warmX:    make([]float64, nv),
 		warmMask: make([]bool, n),
 	}, nil
 }
@@ -251,7 +245,7 @@ func (m *MPC) StepLocked(pfbW, pTargetW float64, freqs, rweights []float64, lock
 	if m.cfg.FullHorizon {
 		return m.stepFullHorizon(pfbW, pTargetW, freqs, rweights, locked)
 	}
-	k := mathx.Vector(m.cfg.KWPerGHz)
+	k := m.cfg.KWPerGHz
 
 	// H = Σ_{h=1..Lp} Q·h²·kkᵀ + Σ_{m=1..Lc} m²·diag(R·RScale)
 	// g = −Σ_{h=1..Lp} Q·h·e_h·k + Σ_{m=1..Lc} m·diag(R·RScale)·d
@@ -269,7 +263,7 @@ func (m *MPC) StepLocked(pfbW, pTargetW float64, freqs, rweights []float64, lock
 		hf := float64(step)
 		sumH2 += hf * hf
 		eh := gap * (1 - math.Exp(-hf*m.cfg.PeriodS/m.cfg.RefTimeConstS))
-		g.AXPY(-m.cfg.QWeight*hf*eh, k)
+		axpy(-m.cfg.QWeight*hf*eh, k, g)
 	}
 
 	var sumM, sumM2 float64
@@ -336,9 +330,8 @@ const maxControlHorizon = 32
 // solve sets the Eq. (9) move bounds and solves one QP per control-move
 // block b — rank-one weight a[b] on the shared k and diagonal, linear term
 // g's block b — warm-starting from the cached previous solution when the
-// configuration allows it and the locked mask is unchanged. It refreshes
-// the cache and LastSolve stats and returns the frequencies after the
-// first move.
+// locked mask is unchanged. It refreshes the cache and LastSolve stats and
+// returns the frequencies after the first move.
 func (m *MPC) solve(freqs []float64, locked []bool, a []float64) ([]float64, error) {
 	n := len(freqs)
 	for i := 0; i < n; i++ {
@@ -350,7 +343,7 @@ func (m *MPC) solve(freqs []float64, locked []bool, a []float64) ([]float64, err
 		m.hi[i] = m.cfg.FMaxGHz - freqs[i]
 	}
 
-	warm := m.cfg.WarmStart && m.warmOK && maskUnchanged(m.warmMask, locked)
+	warm := m.warmOK && maskUnchanged(m.warmMask, locked)
 	st := SolveStats{Converged: true, Warm: warm}
 	next := m.next
 	for b, ab := range a {
@@ -364,9 +357,7 @@ func (m *MPC) solve(freqs []float64, locked []bool, a []float64) ([]float64, err
 			m.warmOK = false
 			return nil, fmt.Errorf("control: MPC QP: %w", err)
 		}
-		if m.cfg.WarmStart {
-			copy(blk, res.X)
-		}
+		copy(blk, res.X)
 		if b == 0 { // only the first (cumulative) move is actuated
 			for i := 0; i < n; i++ {
 				next[i] = freqs[i] + res.X[i]
@@ -383,12 +374,10 @@ func (m *MPC) solve(freqs []float64, locked []bool, a []float64) ([]float64, err
 		st.Converged = st.Converged && res.Converged
 		st.Objective += res.Objective
 	}
-	if m.cfg.WarmStart {
-		for i := range m.warmMask {
-			m.warmMask[i] = locked != nil && locked[i]
-		}
-		m.warmOK = true
+	for i := range m.warmMask {
+		m.warmMask[i] = locked != nil && locked[i]
 	}
+	m.warmOK = true
 	m.last = st
 	return next, nil
 }
@@ -405,12 +394,9 @@ func maskUnchanged(cached []bool, locked []bool) bool {
 	return true
 }
 
-// PredictPower returns the design model's one-step power prediction (W) for
-// a frequency move, used by tests and the allocator's what-if analysis.
-func (m *MPC) PredictPower(pfbW float64, dFreqs []float64) float64 {
-	p := pfbW
-	for i, k := range m.cfg.KWPerGHz {
-		p += k * dFreqs[i]
+// axpy computes y[i] += a·x[i] over slices of equal length.
+func axpy(a float64, x, y []float64) {
+	for i := range x {
+		y[i] += a * x[i]
 	}
-	return p
 }

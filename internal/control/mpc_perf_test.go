@@ -84,36 +84,6 @@ func TestMPCWarmCacheInvalidation(t *testing.T) {
 	}
 }
 
-// With WarmStart disabled (the zero-value config), no solve is ever warm —
-// the legacy behavior.
-func TestMPCWarmStartDisabled(t *testing.T) {
-	const n = 8
-	k := make([]float64, n)
-	for i := range k {
-		k[i] = 9.6
-	}
-	cfg := DefaultMPCConfig(k)
-	cfg.WarmStart = false
-	m, err := NewMPC(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	freqs := make([]float64, n)
-	weights := make([]float64, n)
-	for i := range freqs {
-		freqs[i] = 1.0
-		weights[i] = 1
-	}
-	for range 3 {
-		if _, err := m.Step(800, 900, freqs, weights); err != nil {
-			t.Fatal(err)
-		}
-		if m.LastSolve().Warm {
-			t.Fatal("WarmStart=false must never solve warm")
-		}
-	}
-}
-
 // A locked core is fixed (lo = hi = 0), not held at a bound: a negative
 // gradient on it is no KKT violation. Counting it as one made the dense
 // solver report Converged=false after 77, 90 and 104 sweeps on exactly these

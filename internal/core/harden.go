@@ -175,7 +175,17 @@ func (s *SprintCon) guardMeasurement(env *sim.Env, rawW, pInterEstW float64) flo
 	if !ok {
 		s.tm.guardRejected.Inc()
 	}
-	s.ob.sensorGapW = math.Abs(filtered - model)
+	// The reading describes the previous tick's plant, so the sensor
+	// detector compares it with the model estimate made for that tick:
+	// against this tick's estimate, an interactive demand step or a
+	// control move between the two ticks reads as a sensor fault. Eq. (5)
+	// is exact only with the interactive cores at peak frequency, so an
+	// estimate made while they were throttled is no reference.
+	s.ob.sensorGapW = 0
+	if s.ob.haveModel {
+		s.ob.sensorGapW = math.Abs(filtered - s.ob.modelW)
+	}
+	s.ob.modelW, s.ob.haveModel = model, !s.ob.interThrottled
 	conf := s.hd.guard.Confidence()
 	s.tm.guardConf.Set(conf)
 	s.allocator.SetConfidence(conf)

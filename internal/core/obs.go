@@ -13,13 +13,16 @@ import (
 // them and consumed at the end of Tick, so the plane sees one coherent
 // observation per tick.
 type obsHook struct {
-	plane      *obs.Plane
-	capacityWh float64 // battery capacity, for the gauge-consistency check
-	sensorGapW float64 // |guarded reading − model estimate| this tick
-	actErrGHz  float64 // worst |commanded − applied| at the last control period
-	urgency    float64 // deadline urgency at the last control period
-	sweeps     int     // QP sweeps of the last solve
-	ranControl bool    // a control period completed this tick
+	plane          *obs.Plane
+	capacityWh     float64 // battery capacity, for the gauge-consistency check
+	sensorGapW     float64 // |guarded reading − model estimate for the tick it describes|
+	modelW         float64 // this tick's model estimate, which the next reading describes
+	haveModel      bool    // modelW holds a valid estimate
+	interThrottled bool    // interactive cores run below peak this tick
+	actErrGHz      float64 // worst |commanded − applied| at the last control period
+	urgency        float64 // deadline urgency at the last control period
+	sweeps         int     // QP sweeps of the last solve
+	ranControl     bool    // a control period completed this tick
 }
 
 // observeControlPeriod captures the per-period signals after actuation.

@@ -694,7 +694,7 @@ func (s *SprintCon) serverPowerControl(env *sim.Env, snap sim.Snapshot, pcb, pIn
 	copy(s.cmdFreqs, next)
 	applied, aerr := env.Rack.SetBatchFreqsInto(next, s.appliedBuf)
 	if aerr != nil {
-		panic(fmt.Sprintf("core: SetBatchFreqs: %v", aerr)) // structural bug
+		panic(fmt.Sprintf("core: SetBatchFreqsInto: %v", aerr)) // structural bug
 	}
 	if s.hd.enabled() {
 		s.observeActuation(env, next, applied)
@@ -727,6 +727,7 @@ func (s *SprintCon) deadlinePowerFloor(env *sim.Env, now float64) (floorW, urgen
 // manageInteractive keeps interactive cores at peak frequency, or bids them
 // down proportionally when the degraded modes leave too little CB budget.
 func (s *SprintCon) manageInteractive(env *sim.Env, pcb, pInterEst float64) {
+	s.ob.interThrottled = false
 	if s.mode != ModeCBOnly && s.mode != ModeEnded && !s.upsBlocked() {
 		env.Rack.SetInteractiveFreq(s.fmax)
 		return
@@ -737,6 +738,7 @@ func (s *SprintCon) manageInteractive(env *sim.Env, pcb, pInterEst float64) {
 		return
 	}
 	scale := clamp(avail/pInterEst, s.cfg.MinInteractiveFreqNorm, 1)
+	s.ob.interThrottled = scale < 1
 	env.Rack.SetInteractiveFreq(scale * s.fmax)
 }
 

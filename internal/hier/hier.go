@@ -62,6 +62,8 @@ type Config struct {
 	// RackOptions, when non-nil, supplies per-rack run options for
 	// RunLinked and RunSweep — the hook sprintd uses to attach
 	// decision-trace sinks, and sweeps use to select the event engine.
+	// RunLinked sets its rows up concurrently, so the function must be
+	// safe for concurrent use.
 	RackOptions func(row, rack int) sim.RunOptions
 	// OnRowTick, when non-nil, is called after every lock-step tick of
 	// every row with that row's id, step index, simulated time and feeder

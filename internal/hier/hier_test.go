@@ -235,7 +235,7 @@ func TestPartitionDegradesOneRow(t *testing.T) {
 func TestRunLinkedMetricsAndHooks(t *testing.T) {
 	c := testConfig()
 	c.Metrics = telemetry.NewRegistry()
-	var mu chan struct{} // serialize the concurrent hook without sync import
+	var mu chan struct{} // serialize the concurrent hooks without sync import
 	mu = make(chan struct{}, 1)
 	ticks := map[int]int{}
 	c.OnRowTick = func(row, step int, nowS, aggW float64) {
@@ -247,7 +247,9 @@ func TestRunLinkedMetricsAndHooks(t *testing.T) {
 	}
 	var opts int
 	c.RackOptions = func(row, rack int) sim.RunOptions {
+		mu <- struct{}{}
 		opts++
+		<-mu
 		return sim.RunOptions{}
 	}
 	res, err := RunLinked(c)

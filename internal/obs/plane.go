@@ -42,9 +42,10 @@ type TickSignals struct {
 	// Confidence is the measurement guard's confidence (1 when the policy
 	// runs unhardened).
 	Confidence float64
-	// SensorGapW is |guarded power reading − design-model estimate|: a
-	// sustained gap flags telemetry the guard cannot reject (e.g. delayed
-	// readings, which pass freeze and slew checks but lag the plant).
+	// SensorGapW is |guarded power reading − design-model estimate for
+	// the tick the reading describes|: a sustained gap flags telemetry the
+	// guard cannot reject (e.g. delayed readings, which pass freeze and
+	// slew checks but lag the plant).
 	SensorGapW float64
 	// LockedCores counts cores excluded from actuation (stuck or offline).
 	LockedCores int

@@ -18,7 +18,6 @@ package qos
 
 import (
 	"errors"
-	"math"
 
 	"sprintcon/internal/stats"
 )
@@ -116,20 +115,4 @@ func (c Config) Evaluate(demand, freqNorm []float64) (Summary, error) {
 		SLOViolFrac:   float64(viol) / n,
 		SaturatedFrac: float64(sat) / n,
 	}, nil
-}
-
-// SpeedupForLatency returns the minimum normalized frequency that keeps the
-// mean response time at or below targetMs for the given demand, or NaN if
-// no frequency in (0, 1] achieves it. Useful for capacity planning around
-// a sprint.
-func (c Config) SpeedupForLatency(demand, targetMs float64) float64 {
-	if targetMs < c.BaseServiceMs {
-		return math.NaN()
-	}
-	// T = base/(f̂ − demand) ≤ target  →  f̂ ≥ demand + base/target.
-	f := demand + c.BaseServiceMs/targetMs
-	if f > 1 {
-		return math.NaN()
-	}
-	return f
 }

@@ -3,7 +3,6 @@ package qp_test
 import (
 	"fmt"
 
-	"sprintcon/internal/mathx"
 	"sprintcon/internal/qp"
 )
 
@@ -13,11 +12,11 @@ import (
 func ExampleSolve() {
 	p := qp.Problem{
 		A:  1,
-		K:  mathx.Vector{0.5, 0.5},
-		D:  mathx.Vector{1, 1},
-		G:  mathx.Vector{-1, -2.5},
-		Lo: mathx.Vector{0, 0},
-		Hi: mathx.Vector{1.5, 1.5},
+		K:  []float64{0.5, 0.5},
+		D:  []float64{1, 1},
+		G:  []float64{-1, -2.5},
+		Lo: []float64{0, 0},
+		Hi: []float64{1.5, 1.5},
 	}
 	res, err := qp.Solve(p, qp.Options{})
 	if err != nil {

@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"sprintcon/internal/mathx"
 )
 
 // Layout bits of the generated MPC-shaped problems.
@@ -36,10 +34,10 @@ func genMPC(seed int64, size, layout uint8, logA float64) []Problem {
 	}
 	a := math.Pow(10, math.Mod(math.Abs(logA), 6)-2)
 
-	k := mathx.NewVector(n)
-	d := mathx.NewVector(n)
-	lo := mathx.NewVector(n)
-	hi := mathx.NewVector(n)
+	k := make([]float64, n)
+	d := make([]float64, n)
+	lo := make([]float64, n)
+	hi := make([]float64, n)
 	slope := 1 + 30*rng.Float64()
 	for i := 0; i < n; i++ {
 		k[i] = slope
@@ -69,7 +67,7 @@ func genMPC(seed int64, size, layout uint8, logA float64) []Problem {
 	out := make([]Problem, blocks)
 	for b := range out {
 		ab := a * (1 + float64(b))
-		g := mathx.NewVector(n)
+		g := make([]float64, n)
 		if layout&layoutBreakpoint != 0 {
 			g = onBreakpoints(rng, ab, k, d, lo, hi)
 		} else {
@@ -86,10 +84,10 @@ func genMPC(seed int64, size, layout uint8, logA float64) []Problem {
 // onBreakpoints picks a KKT point x* — each lane at a bound with a random
 // multiplier, interior, or at a bound with a zero multiplier (exactly on
 // its breakpoint) — and returns the linear term that makes x* optimal.
-func onBreakpoints(rng *rand.Rand, a float64, k, d, lo, hi mathx.Vector) mathx.Vector {
+func onBreakpoints(rng *rand.Rand, a float64, k, d, lo, hi []float64) []float64 {
 	n := len(k)
-	x := mathx.NewVector(n)
-	mu := mathx.NewVector(n)
+	x := make([]float64, n)
+	mu := make([]float64, n)
 	for i := range x {
 		switch rng.Intn(4) {
 		case 0:
@@ -102,8 +100,8 @@ func onBreakpoints(rng *rand.Rand, a float64, k, d, lo, hi mathx.Vector) mathx.V
 			x[i] = hi[i] // degenerate: on the breakpoint
 		}
 	}
-	s := k.Dot(x)
-	g := mathx.NewVector(n)
+	s := dot(k, x)
+	g := make([]float64, n)
 	for i := range g {
 		g[i] = mu[i] - a*s*k[i] - d[i]*x[i]
 	}
@@ -156,8 +154,8 @@ func checkAgainstOracle(t *testing.T, blocks []Problem) {
 
 // objectiveMagnitude sums the absolute values of the objective's terms at
 // x, the scale its rounding error is relative to.
-func objectiveMagnitude(p Problem, x mathx.Vector) float64 {
-	s := p.K.Dot(x)
+func objectiveMagnitude(p Problem, x []float64) float64 {
+	s := dot(p.K, x)
 	m := 0.5 * p.A * s * s
 	for i, xi := range x {
 		m += 0.5*p.D[i]*xi*xi + math.Abs(p.G[i]*xi)

@@ -1,10 +1,6 @@
 package qp
 
-import (
-	"math"
-
-	"sprintcon/internal/mathx"
-)
+import "math"
 
 // dense is the test oracle: the primal active-set solver that ran on the MPC
 // hot path before the structured solver replaced it. It forms the Hessian
@@ -12,8 +8,9 @@ import (
 // Solve. Several problems given together form one block-diagonal problem —
 // the full-horizon MPC's shape.
 type dense struct {
-	h         *mathx.Matrix
-	g, lo, hi mathx.Vector
+	n         int
+	h         []float64 // row-major n×n Hessian
+	g, lo, hi []float64
 }
 
 // newDense assembles blockdiag(Aᵦ·kᵦkᵦᵀ + diag(Dᵦ)) over the blocks.
@@ -23,14 +20,14 @@ func newDense(blocks ...Problem) dense {
 	for _, b := range blocks {
 		n += len(b.G)
 	}
-	q.h = mathx.NewMatrix(n, n)
+	q.n, q.h = n, make([]float64, n*n)
 	off := 0
 	for _, b := range blocks {
 		for i := range b.G {
 			for j := range b.G {
-				q.h.Inc(off+i, off+j, b.A*b.K[i]*b.K[j])
+				q.h[(off+i)*n+off+j] += b.A * b.K[i] * b.K[j]
 			}
-			q.h.Inc(off+i, off+i, b.D[i])
+			q.h[(off+i)*n+off+i] += b.D[i]
 		}
 		q.g = append(q.g, b.G...)
 		q.lo = append(q.lo, b.Lo...)
@@ -40,15 +37,22 @@ func newDense(blocks ...Problem) dense {
 	return q
 }
 
-func (q dense) gradient(x mathx.Vector) mathx.Vector {
-	grad := q.h.MulVec(x)
-	grad.AXPY(1, q.g)
+// gradient returns H·x + g.
+func (q dense) gradient(x []float64) []float64 {
+	grad := make([]float64, q.n)
+	for i := range grad {
+		var s float64
+		for j, v := range q.h[i*q.n : (i+1)*q.n] {
+			s += v * x[j]
+		}
+		grad[i] = s + q.g[i]
+	}
 	return grad
 }
 
 // residual is the unscaled KKT residual at x. Coordinates with lo ≥ hi are
 // fixed, not bound-constrained, and have no condition.
-func (q dense) residual(x, grad mathx.Vector) float64 {
+func (q dense) residual(x, grad []float64) float64 {
 	var r float64
 	for i, gi := range grad {
 		var v float64
@@ -73,10 +77,10 @@ func (q dense) residual(x, grad mathx.Vector) float64 {
 // the pinned coordinate with the worst multiplier is released. It returns
 // the final iterate — always feasible — with the iteration count and
 // whether the residual met 1e-9·(1 + ‖g‖∞).
-func (q dense) solve(warm mathx.Vector) (mathx.Vector, int, bool) {
-	n := len(q.g)
-	atol := tol * (1 + q.g.NormInf())
-	x := mathx.NewVector(n)
+func (q dense) solve(warm []float64) ([]float64, int, bool) {
+	n := q.n
+	atol := tol * (1 + normInf(q.g))
+	x := make([]float64, n)
 	pin := make([]bool, n)
 	for i := range x {
 		if warm != nil {
@@ -99,16 +103,16 @@ func (q dense) solve(warm mathx.Vector) (mathx.Vector, int, bool) {
 		}
 		blocked := false
 		if m := len(free); m > 0 {
-			sub := mathx.NewMatrix(m, m)
-			rhs := mathx.NewVector(m)
+			sub := make([]float64, m*m)
+			rhs := make([]float64, m)
 			for a, i := range free {
 				rhs[a] = -grad[i]
 				for b, j := range free {
-					sub.Set(a, b, q.h.At(i, j))
+					sub[a*m+b] = q.h[i*n+j]
 				}
 			}
-			step, err := sub.SolveSPD(rhs)
-			if err != nil {
+			step, ok := solveSPD(m, sub, rhs)
+			if !ok {
 				return x, iter, false
 			}
 			alpha, blk, blkAt := 1.0, -1, 0.0
@@ -154,4 +158,64 @@ func (q dense) solve(warm mathx.Vector) (mathx.Vector, int, bool) {
 		pin[worstI] = false
 	}
 	return x, maxIter, false
+}
+
+// solveSPD solves a·x = b for the symmetric positive-definite row-major m×m
+// matrix a by a Cholesky factorization a = L·Lᵀ and forward and backward
+// substitution. It reports false when a is not positive definite.
+func solveSPD(m int, a, b []float64) ([]float64, bool) {
+	l := make([]float64, m*m)
+	for i := 0; i < m; i++ {
+		for j := 0; j <= i; j++ {
+			s := a[i*m+j]
+			for k := 0; k < j; k++ {
+				s -= l[i*m+k] * l[j*m+k]
+			}
+			if i == j {
+				if s <= 0 {
+					return nil, false
+				}
+				l[i*m+i] = math.Sqrt(s)
+			} else {
+				l[i*m+j] = s / l[j*m+j]
+			}
+		}
+	}
+	y := make([]float64, m)
+	for i := 0; i < m; i++ { // L·y = b
+		s := b[i]
+		for k := 0; k < i; k++ {
+			s -= l[i*m+k] * y[k]
+		}
+		y[i] = s / l[i*m+i]
+	}
+	x := make([]float64, m)
+	for i := m - 1; i >= 0; i-- { // Lᵀ·x = y
+		s := y[i]
+		for k := i + 1; k < m; k++ {
+			s -= l[k*m+i] * x[k]
+		}
+		x[i] = s / l[i*m+i]
+	}
+	return x, true
+}
+
+// normInf returns the largest absolute element of x (0 when empty).
+func normInf(x []float64) float64 {
+	var m float64
+	for _, v := range x {
+		if a := math.Abs(v); a > m {
+			m = a
+		}
+	}
+	return m
+}
+
+// constant returns a length-n slice with every element v.
+func constant(n int, v float64) []float64 {
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = v
+	}
+	return x
 }

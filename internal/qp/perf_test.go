@@ -2,9 +2,8 @@ package qp
 
 import (
 	"math"
+	"slices"
 	"testing"
-
-	"sprintcon/internal/mathx"
 )
 
 // constrainedProblem builds an n-variable MPC-shaped problem (a dominant
@@ -12,15 +11,15 @@ import (
 // minimizer violates the box, with a mixed active set: some coordinates
 // are pulled past the upper bound, others stay interior.
 func constrainedProblem(n int) Problem {
-	k := mathx.NewVector(n)
-	g := mathx.NewVector(n)
+	k := make([]float64, n)
+	g := make([]float64, n)
 	for i := range k {
 		k[i] = 9 + 0.1*float64(i%7)
 		g[i] = -(4000 + 2500*float64(i%5)) * k[i]
 	}
 	// A matches the MPC's Σh² = 30 over a 4-period horizon.
-	return Problem{A: 30, K: k, D: mathx.Constant(n, 400), G: g,
-		Lo: mathx.Constant(n, -1.6), Hi: mathx.Constant(n, 0.4)}
+	return Problem{A: 30, K: k, D: constant(n, 400), G: g,
+		Lo: constant(n, -1.6), Hi: constant(n, 0.4)}
 }
 
 // perturb returns a copy of p with the linear term nudged — the shape of an
@@ -28,7 +27,7 @@ func constrainedProblem(n int) Problem {
 // gap).
 func perturb(p Problem, eps float64) Problem {
 	q := p
-	q.G = p.G.Clone()
+	q.G = slices.Clone(p.G)
 	for i := range q.G {
 		q.G[i] *= 1 + eps
 	}
@@ -52,7 +51,7 @@ func TestWarmVsColdEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			warmPoint := base.X.Clone()
+			warmPoint := slices.Clone(base.X)
 			warm, err := Solve(next, Options{Warm: warmPoint})
 			if err != nil {
 				t.Fatal(err)
@@ -86,13 +85,13 @@ func TestWarmVsColdEquivalence(t *testing.T) {
 func TestSolveWorkspaceZeroAlloc(t *testing.T) {
 	p := constrainedProblem(32)
 	ws := NewWorkspace(32)
-	warm := mathx.NewVector(32)
+	warm := make([]float64, 32)
 	res, err := Solve(p, Options{Ws: ws})
 	if err != nil {
 		t.Fatal(err)
 	}
 	copy(warm, res.X)
-	far := mathx.Constant(32, -1.6) // a warm point many pieces from the root
+	far := constant(32, -1.6) // a warm point many pieces from the root
 
 	for name, opt := range map[string]Options{
 		"warm":     {Ws: ws, Warm: warm},
@@ -136,7 +135,7 @@ func TestStructuredMatchesOracle(t *testing.T) {
 
 func TestWarmDimensionMismatch(t *testing.T) {
 	p := constrainedProblem(8)
-	if _, err := Solve(p, Options{Warm: mathx.NewVector(5)}); err == nil {
+	if _, err := Solve(p, Options{Warm: make([]float64, 5)}); err == nil {
 		t.Fatal("expected dimension error for mismatched warm start")
 	}
 }

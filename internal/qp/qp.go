@@ -29,19 +29,17 @@ import (
 	"fmt"
 	"math"
 	"slices"
-
-	"sprintcon/internal/mathx"
 )
 
 // Problem describes a rank-one-plus-diagonal box-constrained QP. All
 // vectors have the same length n.
 type Problem struct {
-	A  float64      // weight of the rank-one term ½·A·(kᵀx)², ≥ 0
-	K  mathx.Vector // rank-one coupling direction (e.g. W/GHz per core)
-	D  mathx.Vector // diagonal weights, each > 0
-	G  mathx.Vector // linear cost term
-	Lo mathx.Vector // element-wise lower bounds (decision-variable units, e.g. GHz)
-	Hi mathx.Vector // element-wise upper bounds
+	A  float64   // weight of the rank-one term ½·A·(kᵀx)², ≥ 0
+	K  []float64 // rank-one coupling direction (e.g. W/GHz per core)
+	D  []float64 // diagonal weights, each > 0
+	G  []float64 // linear cost term
+	Lo []float64 // element-wise lower bounds (decision-variable units, e.g. GHz)
+	Hi []float64 // element-wise upper bounds
 }
 
 // Options controls the solver. The zero value solves cold, allocating.
@@ -52,7 +50,7 @@ type Options struct {
 	// problem every period, so the previous period's bound pattern is
 	// usually the new one and the first ψ evaluation confirms the root.
 	// Warm must have the problem's dimension; it is read, never written.
-	Warm mathx.Vector
+	Warm []float64
 	// Ws, when non-nil, provides preallocated scratch so the solve
 	// performs no heap allocation; Result.X then aliases workspace memory
 	// that the next Solve with the same workspace overwrites. Workspaces
@@ -62,8 +60,8 @@ type Options struct {
 
 // Result reports the solution of a Problem.
 type Result struct {
-	X         mathx.Vector // minimizer (aliases Options.Ws scratch when set)
-	Objective float64      // ½·A·(kᵀx)² + ½·Σ Dᵢxᵢ² + gᵀx at X
+	X         []float64 // minimizer (aliases Options.Ws scratch when set)
+	Objective float64   // ½·A·(kᵀx)² + ½·Σ Dᵢxᵢ² + gᵀx at X
 	// Evals counts ψ evaluations, each one O(n) pass over the variables.
 	Evals int
 	// Residual is the KKT residual at X, each coordinate's violation
@@ -77,7 +75,7 @@ type Result struct {
 // Workspace across Solve calls eliminates every steady-state allocation of
 // the hot path; see Options.Ws for the aliasing contract.
 type Workspace struct {
-	x     mathx.Vector
+	x     []float64
 	piece []piece
 	bp    []float64 // breakpoints inside the bisection bracket
 }
@@ -102,7 +100,7 @@ func (w *Workspace) ensure(n int) {
 	if len(w.x) == n {
 		return
 	}
-	w.x = mathx.NewVector(n)
+	w.x = make([]float64, n)
 	w.piece = make([]piece, n)
 	w.bp = make([]float64, 0, 2*n)
 }
@@ -149,8 +147,8 @@ func (p Problem) Validate() error {
 }
 
 // objective evaluates ½·A·(kᵀx)² + ½·Σ Dᵢxᵢ² + gᵀx.
-func (p Problem) objective(x mathx.Vector) float64 {
-	s := p.K.Dot(x)
+func (p Problem) objective(x []float64) float64 {
+	s := dot(p.K, x)
 	f := 0.5 * p.A * s * s
 	for i, xi := range x {
 		f += xi * (0.5*p.D[i]*xi + p.G[i])
@@ -165,7 +163,7 @@ func (p Problem) objective(x mathx.Vector) float64 {
 // Σⱼ|A·kᵢ·kⱼ·xⱼ| + |Dᵢxᵢ| + |gᵢ|. That scale is what rounding is relative
 // to, so the residual means the same at A = 10⁻² and A = 10⁴. Coordinates
 // with lo ≥ hi are fixed, not bound-constrained, and have no condition.
-func (p Problem) residual(x mathx.Vector) float64 {
+func (p Problem) residual(x []float64) float64 {
 	var s, sAbs float64
 	for i, xi := range x {
 		s += p.K[i] * xi
@@ -209,7 +207,7 @@ func Solve(p Problem, opt Options) (Result, error) {
 		return Result{}, fmt.Errorf("%w: warm start has %d elements for n=%d", ErrDimension, len(opt.Warm), n)
 	}
 	if n == 0 {
-		return Result{X: mathx.Vector{}, Converged: true}, nil
+		return Result{X: []float64{}, Converged: true}, nil
 	}
 	ws := opt.Ws
 	if ws == nil {
@@ -335,8 +333,8 @@ func Solve(p Problem, opt Options) (Result, error) {
 // inside their box: it solves (A·kkᵀ + D)·δ = −∇ over them by the
 // Sherman–Morrison formula, δᵢ = (−∇ᵢ + kᵢ·c)/Dᵢ with
 // c = A·Σkⱼ∇ⱼ/Dⱼ / (1 + A·Σkⱼ²/Dⱼ), and moves x by δ, clamped to the box.
-func (p Problem) refine(x mathx.Vector) {
-	s := p.K.Dot(x)
+func (p Problem) refine(x []float64) {
+	s := dot(p.K, x)
 	var t, w float64
 	for i, xi := range x {
 		if xi > p.Lo[i] && xi < p.Hi[i] {
@@ -371,6 +369,15 @@ func (w *Workspace) pieceRoot(a, s float64) float64 {
 		}
 	}
 	return (c - vf) / (1 + a*wf)
+}
+
+// dot returns Σ x[i]·y[i] over slices of equal length.
+func dot(x, y []float64) float64 {
+	var s float64
+	for i := range x {
+		s += x[i] * y[i]
+	}
+	return s
 }
 
 // clamp returns v limited to [lo, hi].

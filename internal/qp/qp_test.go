@@ -6,15 +6,13 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"sprintcon/internal/mathx"
 )
 
 // randomProblem draws an n-variable problem with mixed-sign coupling, so
 // ψ's pieces bend both ways.
 func randomProblem(rng *rand.Rand, n int) Problem {
-	p := Problem{A: 10 * rng.Float64(), K: mathx.NewVector(n), D: mathx.NewVector(n),
-		G: mathx.NewVector(n), Lo: mathx.NewVector(n), Hi: mathx.NewVector(n)}
+	p := Problem{A: 10 * rng.Float64(), K: make([]float64, n), D: make([]float64, n),
+		G: make([]float64, n), Lo: make([]float64, n), Hi: make([]float64, n)}
 	for i := 0; i < n; i++ {
 		p.K[i] = rng.NormFloat64() * 5
 		p.D[i] = 0.5 + 3*rng.Float64()
@@ -26,13 +24,13 @@ func randomProblem(rng *rand.Rand, n int) Problem {
 }
 
 // diagonal returns the separable problem ½·xᵀdiag(d)x + gᵀx (A = 0).
-func diagonal(d, g, lo, hi mathx.Vector) Problem {
-	return Problem{K: mathx.NewVector(len(g)), D: d, G: g, Lo: lo, Hi: hi}
+func diagonal(d, g, lo, hi []float64) Problem {
+	return Problem{K: make([]float64, len(g)), D: d, G: g, Lo: lo, Hi: hi}
 }
 
 func TestSolveUnconstrainedInterior(t *testing.T) {
 	// min ½xᵀIx − [1 2]x with wide bounds → x = [1 2].
-	p := diagonal(mathx.Constant(2, 1), mathx.Vector{-1, -2}, mathx.Constant(2, -100), mathx.Constant(2, 100))
+	p := diagonal(constant(2, 1), []float64{-1, -2}, constant(2, -100), constant(2, 100))
 	r, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +49,7 @@ func TestSolveUnconstrainedInterior(t *testing.T) {
 func TestSolveClampedToBounds(t *testing.T) {
 	// Unconstrained minimum [1 2] but box [0,0.5]²; with A = 0 the
 	// coordinates decouple: x = [0.5, 0.5].
-	p := diagonal(mathx.Constant(2, 1), mathx.Vector{-1, -2}, mathx.Constant(2, 0), mathx.Constant(2, 0.5))
+	p := diagonal(constant(2, 1), []float64{-1, -2}, constant(2, 0), constant(2, 0.5))
 	r, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -67,8 +65,8 @@ func TestSolveClampedToBounds(t *testing.T) {
 func TestSolveMatchesGridSearch2D(t *testing.T) {
 	// Coupled 2-D problem, H = [[2 0.8] [0.8 1.5]] = 0.8·[1 1]ᵀ[1 1] +
 	// diag(1.2, 0.7), verified against a fine grid search.
-	p := Problem{A: 0.8, K: mathx.Vector{1, 1}, D: mathx.Vector{1.2, 0.7},
-		G: mathx.Vector{1.0, -2.0}, Lo: mathx.Vector{-1, -1}, Hi: mathx.Vector{1, 1}}
+	p := Problem{A: 0.8, K: []float64{1, 1}, D: []float64{1.2, 0.7},
+		G: []float64{1.0, -2.0}, Lo: []float64{-1, -1}, Hi: []float64{1, 1}}
 
 	r, err := Solve(p, Options{})
 	if err != nil {
@@ -79,7 +77,7 @@ func TestSolveMatchesGridSearch2D(t *testing.T) {
 	const steps = 400
 	for i := 0; i <= steps; i++ {
 		for j := 0; j <= steps; j++ {
-			x := mathx.Vector{-1 + 2*float64(i)/steps, -1 + 2*float64(j)/steps}
+			x := []float64{-1 + 2*float64(i)/steps, -1 + 2*float64(j)/steps}
 			if v := p.objective(x); v < best {
 				best, bx, by = v, x[0], x[1]
 			}
@@ -111,7 +109,7 @@ func TestSolveSatisfiesKKTRandom(t *testing.T) {
 		}
 		// The oracle's unscaled residual, as the dense solver measured it.
 		q := newDense(p)
-		if res := q.residual(r.X, q.gradient(r.X)); res > 1e-9*(1+p.G.NormInf()) {
+		if res := q.residual(r.X, q.gradient(r.X)); res > 1e-9*(1+normInf(p.G)) {
 			t.Fatalf("trial %d: KKT residual %v", trial, res)
 		}
 	}
@@ -127,7 +125,7 @@ func TestSolveBeatsRandomFeasiblePointsProperty(t *testing.T) {
 		if err != nil || !r.Converged {
 			return false
 		}
-		x := mathx.NewVector(len(p.G))
+		x := make([]float64, len(p.G))
 		for k := 0; k < 50; k++ {
 			for i := range x {
 				x[i] = p.Lo[i] + rng.Float64()*(p.Hi[i]-p.Lo[i])
@@ -144,7 +142,7 @@ func TestSolveBeatsRandomFeasiblePointsProperty(t *testing.T) {
 }
 
 func TestValidateRejectsBadProblems(t *testing.T) {
-	good := Problem{A: 1, K: mathx.Vector{1, 1}, D: mathx.Vector{1, 1}, G: mathx.Vector{0, 0}, Lo: mathx.Vector{0, 0}, Hi: mathx.Vector{1, 1}}
+	good := Problem{A: 1, K: []float64{1, 1}, D: []float64{1, 1}, G: []float64{0, 0}, Lo: []float64{0, 0}, Hi: []float64{1, 1}}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("good problem rejected: %v", err)
 	}
@@ -153,10 +151,10 @@ func TestValidateRejectsBadProblems(t *testing.T) {
 		mutate func(*Problem)
 		want   error
 	}{
-		{"lo > hi", func(p *Problem) { p.Lo = mathx.Vector{2, 0} }, ErrBounds},
-		{"short g", func(p *Problem) { p.G = mathx.Vector{0} }, ErrDimension},
-		{"short k", func(p *Problem) { p.K = mathx.Vector{1} }, ErrDimension},
-		{"zero diagonal", func(p *Problem) { p.D = mathx.Vector{1, 0} }, ErrNotConvex},
+		{"lo > hi", func(p *Problem) { p.Lo = []float64{2, 0} }, ErrBounds},
+		{"short g", func(p *Problem) { p.G = []float64{0} }, ErrDimension},
+		{"short k", func(p *Problem) { p.K = []float64{1} }, ErrDimension},
+		{"zero diagonal", func(p *Problem) { p.D = []float64{1, 0} }, ErrNotConvex},
 		{"negative A", func(p *Problem) { p.A = -1 }, ErrNotConvex},
 		{"NaN A", func(p *Problem) { p.A = math.NaN() }, ErrNotConvex},
 	} {
@@ -183,8 +181,8 @@ func TestSolveEmptyProblem(t *testing.T) {
 // a KKT violation, so the solve converges.
 func TestSolveEqualBounds(t *testing.T) {
 	for _, a := range []float64{0, 30} {
-		p := Problem{A: a, K: mathx.Vector{9.6, 9.6, 9.6}, D: mathx.Constant(3, 1),
-			G: mathx.Vector{5, -5, 0}, Lo: mathx.Constant(3, 0.3), Hi: mathx.Constant(3, 0.3)}
+		p := Problem{A: a, K: []float64{9.6, 9.6, 9.6}, D: constant(3, 1),
+			G: []float64{5, -5, 0}, Lo: constant(3, 0.3), Hi: constant(3, 0.3)}
 		r, err := Solve(p, Options{})
 		if err != nil {
 			t.Fatal(err)

@@ -286,15 +286,11 @@ func (r *Rack) SetInteractiveFreq(f float64) {
 	}
 }
 
-// SetBatchFreqs applies a frequency per batch core in BatchCores() order,
-// quantized to the P-state table, and returns the applied values (GHz).
-func (r *Rack) SetBatchFreqs(freqs []float64) ([]float64, error) {
-	return r.SetBatchFreqsInto(freqs, make([]float64, len(freqs)))
-}
-
-// SetBatchFreqsInto is SetBatchFreqs writing the applied values into the
-// preallocated applied slice (returned), for allocation-free control
-// periods. applied must have the same length as freqs and may alias it.
+// SetBatchFreqsInto applies a frequency per batch core in BatchCores()
+// order, quantized to the P-state table, and writes the applied values
+// (GHz) into the caller-owned applied slice (returned), for allocation-free
+// control periods. applied must have the same length as freqs and may
+// alias it.
 func (r *Rack) SetBatchFreqsInto(freqs, applied []float64) ([]float64, error) {
 	if len(freqs) != len(r.batch) {
 		return nil, fmt.Errorf("rack: got %d frequencies for %d batch cores", len(freqs), len(r.batch))
@@ -406,18 +402,6 @@ func (r *Rack) TruePower() float64 {
 			continue
 		}
 		p += s.Power(r.env)
-	}
-	return p
-}
-
-// TruePowerOfClass returns the exact rack power attributable to a class.
-func (r *Rack) TruePowerOfClass(cl cpu.Class) float64 {
-	var p float64
-	for i, s := range r.servers {
-		if r.faults[i].Offline {
-			continue
-		}
-		p += s.PowerOfClass(cl, r.env)
 	}
 	return p
 }

@@ -111,7 +111,7 @@ func TestBindAndAdvanceJobs(t *testing.T) {
 	for i := range freqs {
 		freqs[i] = 2.0
 	}
-	if _, err := r.SetBatchFreqs(freqs); err != nil {
+	if _, err := r.SetBatchFreqsInto(freqs, freqs); err != nil {
 		t.Fatal(err)
 	}
 	r.AdvanceBatch(60, 0)
@@ -187,7 +187,7 @@ func TestSetBatchFreqsQuantizesAndValidates(t *testing.T) {
 	for i := range freqs {
 		freqs[i] = 1.234
 	}
-	applied, err := r.SetBatchFreqs(freqs)
+	applied, err := r.SetBatchFreqsInto(freqs, make([]float64, len(freqs)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestSetBatchFreqsQuantizesAndValidates(t *testing.T) {
 			t.Fatalf("BatchFreqs returned %v", f)
 		}
 	}
-	if _, err := r.SetBatchFreqs(freqs[:3]); err == nil {
+	if _, err := r.SetBatchFreqsInto(freqs[:3], freqs[:3]); err == nil {
 		t.Fatal("wrong length should fail")
 	}
 }
@@ -250,11 +250,14 @@ func TestBatchFeedbackTracksTrueBatchPower(t *testing.T) {
 	for i := range freqs {
 		freqs[i] = 1.5
 	}
-	r.SetBatchFreqs(freqs)
+	r.SetBatchFreqsInto(freqs, freqs)
 	r.AdvanceBatch(1, 0)
 
 	fb := r.BatchFeedback(r.TruePower())
-	truth := r.TruePowerOfClass(cpu.Batch)
+	var truth float64
+	for _, srv := range r.Servers() {
+		truth += srv.PowerOfClass(cpu.Batch, r.env)
+	}
 	if rel := math.Abs(fb-truth) / truth; rel > 0.02 {
 		t.Fatalf("feedback %v vs true batch power %v (rel err %.3f)", fb, truth, rel)
 	}
@@ -296,18 +299,8 @@ func TestMeanFreqNormMetrics(t *testing.T) {
 	for i := range freqs {
 		freqs[i] = 1.0
 	}
-	r.SetBatchFreqs(freqs)
+	r.SetBatchFreqsInto(freqs, freqs)
 	if got := r.MeanBatchFreqNorm(); math.Abs(got-0.5) > 1e-9 {
 		t.Fatalf("batch norm freq %v, want 0.5", got)
-	}
-}
-
-func TestClassPowerPartition(t *testing.T) {
-	r := mustNew(t)
-	r.ApplyInteractiveDemand(0.8)
-	total := r.TruePower()
-	sum := r.TruePowerOfClass(cpu.Interactive) + r.TruePowerOfClass(cpu.Batch) + r.TruePowerOfClass(cpu.Idle)
-	if math.Abs(total-sum) > 1e-6 {
-		t.Fatalf("class powers %v ≠ total %v", sum, total)
 	}
 }

@@ -42,59 +42,6 @@ func f(v float64) string {
 	return strconv.FormatFloat(v, 'f', 3, 64)
 }
 
-// ReadCSV parses a series previously written by WriteCSV. Empty cells decode
-// as NaN, inverting WriteCSV's encoding of NaN (policies without a batch
-// budget write empty pbatch_target_w columns). Columns are resolved by
-// header name, so a reordered or extended file still reads correctly as
-// long as the WriteCSV columns are present.
-func ReadCSV(r io.Reader) (*sim.Series, error) {
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("seriesio: reading header: %w", err)
-	}
-	col := make(map[string]int, len(header))
-	for i, name := range header {
-		col[name] = i
-	}
-	var s sim.Series
-	dests := []struct {
-		name string
-		dst  *[]float64
-	}{
-		{"time_s", &s.Time}, {"total_w", &s.TotalW}, {"cb_w", &s.CBW},
-		{"ups_w", &s.UPSW}, {"pcb_target_w", &s.PCbW}, {"pbatch_target_w", &s.PBatchW},
-		{"freq_inter_norm", &s.FreqInter}, {"freq_batch_norm", &s.FreqBatch}, {"ups_soc", &s.SoC},
-	}
-	for _, d := range dests {
-		if _, ok := col[d.name]; !ok {
-			return nil, fmt.Errorf("seriesio: missing column %q", d.name)
-		}
-	}
-	for line := 2; ; line++ {
-		row, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("seriesio: line %d: %w", line, err)
-		}
-		for _, d := range dests {
-			cell := row[col[d.name]]
-			if cell == "" {
-				*d.dst = append(*d.dst, math.NaN())
-				continue
-			}
-			v, err := strconv.ParseFloat(cell, 64)
-			if err != nil {
-				return nil, fmt.Errorf("seriesio: line %d, column %s: %w", line, d.name, err)
-			}
-			*d.dst = append(*d.dst, v)
-		}
-	}
-	return &s, nil
-}
-
 // WriteJSON writes the series as one JSON object of parallel arrays.
 func WriteJSON(w io.Writer, s *sim.Series) error {
 	enc := json.NewEncoder(w)

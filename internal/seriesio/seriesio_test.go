@@ -51,59 +51,6 @@ func TestWriteCSV(t *testing.T) {
 	}
 }
 
-// TestCSVRoundTripNaN pins the ReadCSV ↔ WriteCSV inverse on a series with
-// NaN budget columns — the shape every SGCT run produces (no batch budget)
-// and any run's pre-control warmup tick produces (no CB budget yet).
-func TestCSVRoundTripNaN(t *testing.T) {
-	want := demoSeries()
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cols := []struct {
-		name       string
-		want, have []float64
-	}{
-		{"Time", want.Time, got.Time},
-		{"TotalW", want.TotalW, got.TotalW},
-		{"CBW", want.CBW, got.CBW},
-		{"UPSW", want.UPSW, got.UPSW},
-		{"PCbW", want.PCbW, got.PCbW},
-		{"PBatchW", want.PBatchW, got.PBatchW},
-		{"FreqInter", want.FreqInter, got.FreqInter},
-		{"FreqBatch", want.FreqBatch, got.FreqBatch},
-		{"SoC", want.SoC, got.SoC},
-	}
-	for _, c := range cols {
-		if len(c.have) != len(c.want) {
-			t.Fatalf("%s: len = %d, want %d", c.name, len(c.have), len(c.want))
-		}
-		for i := range c.want {
-			// demoSeries uses ≤ 3 decimals, so WriteCSV's %.3f is lossless
-			// here and equality (NaN ↔ NaN) must hold exactly.
-			if math.IsNaN(c.want[i]) != math.IsNaN(c.have[i]) ||
-				(!math.IsNaN(c.want[i]) && c.want[i] != c.have[i]) {
-				t.Errorf("%s[%d] = %v, want %v", c.name, i, c.have[i], c.want[i])
-			}
-		}
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV(strings.NewReader("time_s,total_w\n0,1\n")); err == nil {
-		t.Fatal("missing columns should error")
-	}
-	bad := "time_s,total_w,cb_w,ups_w,pcb_target_w,pbatch_target_w,freq_inter_norm,freq_batch_norm,ups_soc\n" +
-		"0,x,0,0,0,0,0,0,0\n"
-	if _, err := ReadCSV(strings.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "total_w") {
-		t.Fatalf("unparsable cell should name its column, got %v", err)
-	}
-}
-
 func TestWriteJSON(t *testing.T) {
 	s := demoSeries()
 	s.PCbW = []float64{3200, 3200, 3200} // JSON cannot carry NaN

@@ -88,20 +88,3 @@ func (l *EventLog) Events() []Event {
 	})
 	return out
 }
-
-// OfKind returns the events with the given kind, in time order. It filters
-// before sorting: copying and re-sorting the full log per call made
-// OfKind O(n log n) in the *total* event count for every query, which adds
-// up in chaos tests that interrogate the log after every storm.
-func (l *EventLog) OfKind(kind string) []Event {
-	var out []Event
-	for _, e := range l.events {
-		if e.Kind == kind {
-			out = append(out, e)
-		}
-	}
-	// l.events is in append (Seq) order already; a stable sort by time
-	// alone therefore preserves Seq order within ties, matching Events().
-	sort.SliceStable(out, func(i, j int) bool { return out[i].T < out[j].T })
-	return out
-}

@@ -22,9 +22,6 @@ func TestEventLogBasics(t *testing.T) {
 	if evs[1].Msg != "hello 1" || evs[1].Kind != "a" {
 		t.Fatalf("event = %+v", evs[1])
 	}
-	if got := l.OfKind("b"); len(got) != 1 || got[0].Kind != "b" {
-		t.Fatalf("OfKind = %v", got)
-	}
 	if !strings.Contains(evs[0].String(), "world") {
 		t.Fatalf("String = %q", evs[0].String())
 	}

@@ -19,15 +19,13 @@ type Job struct {
 	Opts RunOptions
 }
 
-// RunMany executes the jobs concurrently (bounded by GOMAXPROCS) and
-// returns results keyed by Job.Key. Each simulation is fully independent —
-// its own rack, breaker, UPS and trace — so the sweep parallelizes
-// embarrassingly; this is what makes the full experiment suite fast enough
-// to run in CI. The first error aborts the sweep.
+// RunMany is RunManyOrdered with results keyed by Job.Key, for sweeps whose
+// jobs are named rather than positional. Keys must be non-empty and
+// unique. Each simulation is fully independent — its own rack, breaker,
+// UPS and trace — so the sweep parallelizes embarrassingly; this is what
+// makes the full experiment suite fast enough to run in CI. The first
+// error by job order aborts the sweep.
 func RunMany(jobs []Job) (map[string]*Result, error) {
-	if len(jobs) == 0 {
-		return map[string]*Result{}, nil
-	}
 	seen := make(map[string]bool, len(jobs))
 	for _, j := range jobs {
 		if j.Key == "" {
@@ -38,34 +36,13 @@ func RunMany(jobs []Job) (map[string]*Result, error) {
 		}
 		seen[j.Key] = true
 	}
-
-	type outcome struct {
-		key string
-		res *Result
-		err error
+	res, err := RunManyOrdered(jobs)
+	if err != nil {
+		return nil, err
 	}
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	results := make(chan outcome, len(jobs))
-	var wg sync.WaitGroup
-	for _, j := range jobs {
-		wg.Add(1)
-		go func(j Job) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			res, err := runJob(j)
-			results <- outcome{key: j.Key, res: res, err: err}
-		}(j)
-	}
-	wg.Wait()
-	close(results)
-
 	out := make(map[string]*Result, len(jobs))
-	for o := range results {
-		if o.err != nil {
-			return nil, fmt.Errorf("sim: job %s: %w", o.key, o.err)
-		}
-		out[o.key] = o.res
+	for i, j := range jobs {
+		out[j.Key] = res[i]
 	}
 	return out, nil
 }

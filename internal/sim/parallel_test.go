@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -52,5 +53,21 @@ func TestRunManyValidation(t *testing.T) {
 	bad.DurationS = 0
 	if _, err := RunMany([]Job{{Key: "bad", Scenario: bad, Policy: &stubPolicy{name: "x"}}}); err == nil {
 		t.Fatal("invalid scenario should propagate")
+	}
+}
+
+// Errors surface in job order, not completion order: with two failing
+// jobs the first one listed is always the one reported.
+func TestRunManyErrorInJobOrder(t *testing.T) {
+	bad := shortScenario()
+	bad.DurationS = 0
+	for range 5 {
+		_, err := RunMany([]Job{
+			{Key: "z-first", Scenario: bad, Policy: &stubPolicy{name: "x"}},
+			{Key: "a-second", Scenario: bad, Policy: &stubPolicy{name: "y"}},
+		})
+		if err == nil || !strings.Contains(err.Error(), "z-first") {
+			t.Fatalf("error %v, want the first job's", err)
+		}
 	}
 }

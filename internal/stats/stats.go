@@ -100,35 +100,6 @@ func RMSE(a, b []float64) (float64, error) {
 	return math.Sqrt(s / float64(len(a))), nil
 }
 
-// TimeWeightedMean integrates a piecewise-constant series sampled at times
-// ts (ascending) with values xs, over [ts[0], end]. Each value holds from
-// its timestamp to the next. It returns an error on malformed input.
-func TimeWeightedMean(ts, xs []float64, end float64) (float64, error) {
-	if len(ts) != len(xs) || len(ts) == 0 {
-		return 0, errors.New("stats: TimeWeightedMean needs equal non-empty series")
-	}
-	if end < ts[len(ts)-1] {
-		return 0, errors.New("stats: end precedes last sample")
-	}
-	var area, span float64
-	for i := range ts {
-		t1 := end
-		if i+1 < len(ts) {
-			t1 = ts[i+1]
-			if t1 < ts[i] {
-				return 0, errors.New("stats: timestamps not ascending")
-			}
-		}
-		dt := t1 - ts[i]
-		area += xs[i] * dt
-		span += dt
-	}
-	if span == 0 {
-		return xs[len(xs)-1], nil
-	}
-	return area / span, nil
-}
-
 // FracAbove returns the fraction of samples strictly above the threshold.
 func FracAbove(xs []float64, threshold float64) float64 {
 	if len(xs) == 0 {

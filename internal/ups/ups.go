@@ -20,7 +20,8 @@ type Config struct {
 	// MaxDischargeW limits instantaneous discharge power (paper: the UPS
 	// can carry the whole rack, so 4.8 kW).
 	MaxDischargeW float64
-	// MaxChargeW limits recharge power (0 disables recharging).
+	// MaxChargeW is the charger's power limit. A simulated sprint only
+	// discharges, so nothing reads it; it stays for scenario files.
 	MaxChargeW float64
 	// DischargeEfficiency is delivered power / energy drawn (0 < η ≤ 1).
 	DischargeEfficiency float64
@@ -83,8 +84,8 @@ func (c Config) Validate() error {
 type UPS struct {
 	cfg          Config
 	energyWh     float64 // remaining usable energy
-	minEnergyWh  float64 // lowest energy reached since last ResetCycle
-	dischargedWh float64 // cumulative energy drawn since last ResetCycle
+	minEnergyWh  float64 // lowest energy reached this cycle
+	dischargedWh float64 // cumulative energy drawn this cycle
 	floorWh      float64 // energy made unusable by temperature derating
 }
 
@@ -132,23 +133,16 @@ func (u *UPS) peukertFactor(p float64) float64 {
 }
 
 // DoD returns the depth of discharge of the current cycle: the maximum
-// depletion below full capacity reached since the last ResetCycle,
-// as a fraction of capacity. This is the quantity in the paper's Fig. 8(b).
+// depletion below full capacity reached so far, as a fraction of
+// capacity. This is the quantity in the paper's Fig. 8(b).
 func (u *UPS) DoD() float64 {
 	return (u.cfg.CapacityWh - u.minEnergyWh) / u.cfg.CapacityWh
 }
 
-// DischargedWh returns the cumulative energy drawn from the battery since
-// the last ResetCycle (total use of stored energy, "demand of energy
-// storage" in the paper's abstract).
+// DischargedWh returns the cumulative energy drawn from the battery this
+// cycle (total use of stored energy, "demand of energy storage" in the
+// paper's abstract).
 func (u *UPS) DischargedWh() float64 { return u.dischargedWh }
-
-// ResetCycle marks the beginning of a new discharge cycle for DoD and
-// cumulative-discharge accounting without altering the state of charge.
-func (u *UPS) ResetCycle() {
-	u.minEnergyWh = u.energyWh
-	u.dischargedWh = 0
-}
 
 // Discharge requests that the UPS deliver requestW of the rack's totalW
 // demand for dt seconds, and returns the power actually delivered after
@@ -192,29 +186,6 @@ func (u *UPS) Discharge(requestW, totalW, dt float64) float64 {
 	if u.energyWh < u.minEnergyWh {
 		u.minEnergyWh = u.energyWh
 	}
-	return p
-}
-
-// Recharge stores energy for dt seconds at up to powerW, bounded by the
-// configured charge limit and remaining headroom. It returns the charging
-// power actually accepted.
-func (u *UPS) Recharge(powerW, dt float64) float64 {
-	if dt < 0 {
-		panic(fmt.Sprintf("ups: negative dt %g", dt))
-	}
-	if powerW <= 0 || u.cfg.MaxChargeW == 0 {
-		return 0
-	}
-	p := math.Min(powerW, u.cfg.MaxChargeW)
-	addWh := p * dt / 3600
-	if room := u.cfg.CapacityWh - u.energyWh; addWh > room {
-		if room <= 0 {
-			return 0
-		}
-		p *= room / addWh
-		addWh = room
-	}
-	u.energyWh += addWh
 	return p
 }
 

@@ -126,33 +126,8 @@ func TestPartialDeliveryOnDepletion(t *testing.T) {
 	}
 }
 
-func TestRecharge(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxChargeW = 1000
-	cfg.InitialSoC = 0.5
-	u := mustNew(t, cfg)
-	accepted := u.Recharge(2000, 3600) // limited to 1 kW for 1 h = 1 kWh, room is 200 Wh
-	if accepted <= 0 {
-		t.Fatal("no charge accepted")
-	}
-	if math.Abs(u.SoC()-1) > 1e-9 {
-		t.Fatalf("SoC = %v, want 1 after filling", u.SoC())
-	}
-	if got := u.Recharge(100, 10); got != 0 {
-		t.Fatalf("full pack accepted %v W", got)
-	}
-}
-
-func TestRechargeDisabledByDefault(t *testing.T) {
-	u := mustNew(t, DefaultConfig())
-	if got := u.Recharge(1000, 100); got != 0 {
-		t.Fatalf("charging disabled but accepted %v W", got)
-	}
-}
-
 func TestDoDTracksDeepestPoint(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.MaxChargeW = 4800
 	cfg.DischargeEfficiency = 1
 	cfg.DutyQuantum = 0
 	u := mustNew(t, cfg)
@@ -160,13 +135,9 @@ func TestDoDTracksDeepestPoint(t *testing.T) {
 	if math.Abs(u.DoD()-0.25) > 1e-6 {
 		t.Fatalf("DoD = %v, want 0.25", u.DoD())
 	}
-	u.Recharge(4800, 75) // refill
-	if math.Abs(u.DoD()-0.25) > 1e-6 {
-		t.Fatalf("DoD after recharge = %v, must remember deepest point", u.DoD())
-	}
-	u.ResetCycle()
-	if u.DoD() != 0 {
-		t.Fatalf("DoD after ResetCycle = %v", u.DoD())
+	u.Discharge(4800, 4800, 37.5) // 50 Wh more → DoD 37.5 %
+	if math.Abs(u.DoD()-0.375) > 1e-6 {
+		t.Fatalf("DoD after second discharge = %v, want 0.375", u.DoD())
 	}
 }
 
@@ -309,7 +280,6 @@ func TestNegativeDtPanics(t *testing.T) {
 	u := mustNew(t, DefaultConfig())
 	for name, fn := range map[string]func(){
 		"discharge": func() { u.Discharge(1, 1, -1) },
-		"recharge":  func() { u.Recharge(1, -1) },
 	} {
 		func() {
 			defer func() {

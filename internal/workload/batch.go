@@ -74,30 +74,6 @@ func (s BatchSpec) Speedup(f, fref, fmax float64) float64 {
 	return s.Rate(f, fmax) / s.Rate(fref, fmax)
 }
 
-// FreqForRate inverts Rate: the minimum frequency at which the workload
-// achieves relative rate r. Rates at or above the workload's best are
-// clamped to fmax; non-positive rates return 0. The power load allocator
-// uses this to turn deadline-required rates into frequency (and hence
-// power) floors.
-func (s BatchSpec) FreqForRate(r, fmax float64) float64 {
-	if r <= 0 {
-		return 0
-	}
-	if r >= 1 {
-		return fmax
-	}
-	beta := s.EffectiveMemBound()
-	denom := 1/r - beta
-	if denom <= 0 {
-		return fmax
-	}
-	f := (1 - beta) * fmax / denom
-	if f > fmax {
-		f = fmax
-	}
-	return f
-}
-
 // SpecCPU2006 returns models of the eight benchmarks of the paper's
 // physical tests. Memory-boundness values follow published DVFS-sensitivity
 // characterizations: mcf and milc are strongly memory bound, namd and
@@ -339,9 +315,6 @@ func (j *BatchJob) WorkDone() float64 {
 // Completed reports whether the job has finished at least once.
 func (j *BatchJob) Completed() bool { return !math.IsNaN(j.doneAt) }
 
-// Completions returns how many times the job has completed.
-func (j *BatchJob) Completions() int { return j.completed }
-
 // CompletionTime returns the first completion time (NaN if none yet).
 func (j *BatchJob) CompletionTime() float64 { return j.doneAt }
 
@@ -375,19 +348,6 @@ func (j *BatchJob) RemainingSeconds(f, fmax float64) float64 {
 		secs += w / phaseRate(p, f, fmax)
 	}
 	return secs
-}
-
-// RequiredRate returns the minimum relative execution rate that still meets
-// the deadline from time now (∞ if the deadline has passed with work left).
-func (j *BatchJob) RequiredRate(now float64) float64 {
-	left := j.Deadline - now
-	if left <= 0 {
-		if j.remaining > 0 && !j.Completed() {
-			return math.Inf(1)
-		}
-		return 0
-	}
-	return j.remaining / left
 }
 
 // RWeight returns the paper's control-penalty weight for this job's core:

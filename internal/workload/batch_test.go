@@ -89,22 +89,6 @@ func TestMemoryBoundWorkloadsLessFrequencySensitive(t *testing.T) {
 	}
 }
 
-func TestFreqForRateInvertsRate(t *testing.T) {
-	s := BatchSpec{Name: "x", MemBound: 0.3, Util: 0.9, PeakSeconds: 100}
-	for _, r := range []float64{0.1, 0.3, 0.5, 0.7, 0.9, 0.99} {
-		f := s.FreqForRate(r, 2.0)
-		if got := s.Rate(f, 2.0); math.Abs(got-r) > 1e-9 {
-			t.Fatalf("Rate(FreqForRate(%v)) = %v", r, got)
-		}
-	}
-	if s.FreqForRate(0, 2.0) != 0 {
-		t.Fatal("zero rate needs zero frequency")
-	}
-	if s.FreqForRate(1, 2.0) != 2.0 || s.FreqForRate(5, 2.0) != 2.0 {
-		t.Fatal("rates ≥ 1 clamp to peak")
-	}
-}
-
 func TestBatchJobLifecycle(t *testing.T) {
 	spec := BatchSpec{Name: "x", MemBound: 0, Util: 1, PeakSeconds: 100}
 	j, err := NewBatchJob(spec, 0, 1000)
@@ -126,8 +110,8 @@ func TestBatchJobLifecycle(t *testing.T) {
 	if got := j.CompletionTime(); math.Abs(got-100) > 1e-6 {
 		t.Fatalf("completion time = %v, want 100", got)
 	}
-	if j.Completions() != 1 {
-		t.Fatalf("completions = %d", j.Completions())
+	if j.completed != 1 {
+		t.Fatalf("completions = %d", j.completed)
 	}
 	// Re-execution restarted: 20 s of the new run done.
 	if got := j.Progress(); math.Abs(got-0.2) > 1e-9 {
@@ -155,8 +139,8 @@ func TestBatchJobMultipleCompletionsInOneStep(t *testing.T) {
 	spec := BatchSpec{Name: "x", MemBound: 0, Util: 1, PeakSeconds: 10}
 	j, _ := NewBatchJob(spec, 0, 1000)
 	j.Advance(2.0, 2.0, 35, 0) // 3.5 executions
-	if j.Completions() != 3 {
-		t.Fatalf("completions = %d, want 3", j.Completions())
+	if j.completed != 3 {
+		t.Fatalf("completions = %d, want 3", j.completed)
 	}
 	if math.Abs(j.Progress()-0.5) > 1e-9 {
 		t.Fatalf("progress = %v, want 0.5", j.Progress())
@@ -196,7 +180,7 @@ func TestMissedDeadline(t *testing.T) {
 	}
 }
 
-func TestRemainingSecondsAndRequiredRate(t *testing.T) {
+func TestRemainingSeconds(t *testing.T) {
 	spec := BatchSpec{Name: "x", MemBound: 0, Util: 1, PeakSeconds: 100}
 	j, _ := NewBatchJob(spec, 0, 200)
 	if got := j.RemainingSeconds(2.0, 2.0); math.Abs(got-100) > 1e-9 {
@@ -207,12 +191,6 @@ func TestRemainingSecondsAndRequiredRate(t *testing.T) {
 	}
 	if !math.IsInf(j.RemainingSeconds(0, 2.0), 1) {
 		t.Fatal("RemainingSeconds at f=0 must be +Inf")
-	}
-	if got := j.RequiredRate(100); math.Abs(got-1.0) > 1e-9 {
-		t.Fatalf("RequiredRate = %v, want 1.0 (100 work / 100 s)", got)
-	}
-	if got := j.RequiredRate(250); !math.IsInf(got, 1) {
-		t.Fatalf("RequiredRate past deadline = %v, want +Inf", got)
 	}
 }
 

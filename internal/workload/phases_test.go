@@ -122,14 +122,15 @@ func TestRequiredFreqPhased(t *testing.T) {
 	}
 }
 
-func TestRequiredFreqMatchesFreqForRateSinglePhase(t *testing.T) {
-	// For single-phase specs the two formulations must agree.
+func TestRequiredFreqInvertsRateSinglePhase(t *testing.T) {
+	// For a single-phase spec the required frequency runs the job at
+	// exactly the rate that finishes its work at the deadline: 100 s of
+	// peak work in 200 s is rate 0.5.
 	s := BatchSpec{Name: "x", MemBound: 0.3, Util: 0.9, PeakSeconds: 100}
 	j, _ := NewBatchJob(s, 0, 200)
-	viaRate := s.FreqForRate(j.RequiredRate(0), 2.0)
-	direct := j.RequiredFreq(0, 2.0)
-	if math.Abs(viaRate-direct) > 1e-9 {
-		t.Fatalf("FreqForRate path %v vs RequiredFreq %v", viaRate, direct)
+	f := j.RequiredFreq(0, 2.0)
+	if got := s.Rate(f, 2.0); math.Abs(got-0.5) > 1e-9 {
+		t.Fatalf("Rate(RequiredFreq) = %v, want 0.5", got)
 	}
 }
 
@@ -140,8 +141,8 @@ func TestPhasedCompletionAcrossSteps(t *testing.T) {
 	j, _ := NewBatchJob(s, 0, 1e9)
 	// One execution at peak: 5/1 + 5/(1/(0.6+0.4)) = 5 + 5 = 10 s.
 	j.Advance(2.0, 2.0, 25, 0)
-	if j.Completions() != 2 {
-		t.Fatalf("completions = %d, want 2 in 25 s", j.Completions())
+	if j.completed != 2 {
+		t.Fatalf("completions = %d, want 2 in 25 s", j.completed)
 	}
 	if math.Abs(j.Progress()-0.5) > 1e-6 {
 		t.Fatalf("progress = %v, want 0.5", j.Progress())
