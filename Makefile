@@ -38,7 +38,9 @@ soak:
 
 # Fuzz smoke: the checkpoint decoder, the scenario loader, the structured
 # QP solver (differential against the dense oracle), the P-state quantizer,
-# the CSV trace loader and the batch-job progress model, a few seconds each
+# the CSV trace loader, the batch-job progress model, the exact repeated-add
+# kernel (differential against the naive loop) and the tick ≡ event /
+# resumed ≡ uninterrupted equivalences on generated runs, a few seconds each
 # (CI runs the same budget; leave the fuzzers running longer locally with
 # go test -fuzz=... -fuzztime=10m).
 fuzz:
@@ -48,6 +50,8 @@ fuzz:
 	$(GO) test -fuzz='^FuzzQuantize$$' -fuzztime=10s -run='^$$' ./internal/cpu/
 	$(GO) test -fuzz='^FuzzTraceFromCSV$$' -fuzztime=10s -run='^$$' ./internal/workload/
 	$(GO) test -fuzz='^FuzzBatchAdvance$$' -fuzztime=10s -run='^$$' ./internal/workload/
+	$(GO) test -fuzz='^FuzzRepeatedAdd$$' -fuzztime=10s -run='^$$' ./internal/engine/
+	$(GO) test -fuzz='^FuzzEngineEquivalence$$' -fuzztime=10s -run='^$$' ./internal/core/
 
 # Full pinned-scenario benchmark: writes BENCH_<date>.json and compares
 # against the committed baseline (skipped when the baseline's -quick flag

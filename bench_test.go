@@ -18,6 +18,7 @@ import (
 
 	"sprintcon/internal/experiments"
 	"sprintcon/internal/sim"
+	"sprintcon/internal/workload"
 )
 
 // benchTable runs an experiment constructor once per iteration.
@@ -205,4 +206,38 @@ func BenchmarkRunTelemetryOn(b *testing.B) {
 			Decisions: NewDecisionSink(io.Discard),
 		}
 	})
+}
+
+// BenchmarkRunEventFleetDay measures the event engine on the workload it
+// exists for: one day-long, deterministic, power-capped (NoSprint) rack
+// under an hourly stepped-diurnal demand trace, run with RunEvent and one
+// series sample per simulated hour — the per-rack operation of a fleet
+// sweep. Profile the engine with
+//
+//	go test -run '^$' -bench RunEventFleetDay -cpuprofile cpu.out
+func BenchmarkRunEventFleetDay(b *testing.B) {
+	const dayS = 86400
+	scn := DefaultScenario()
+	scn.DurationS = dayS
+	scn.BurstDurationS = dayS
+	scn.AmbientSwingC = 0
+	scn.Rack.MonitorNoiseStd = 0
+	scn.Rack.UtilJitterStd = 0
+	scn.BatchSpecs = workload.SteadyStateSpecs()
+	tr, err := workload.SteppedDiurnal([]float64{0.5, 0.62, 0.75, 0.55}, 3600, dayS, scn.DtS)
+	if err != nil {
+		b.Fatal(err)
+	}
+	scn.Trace = tr
+	cfg := DefaultConfig()
+	cfg.NoSprint = true
+	var res *Result
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res, err = RunWith(scn, New(cfg), RunOptions{Engine: "event", SeriesStride: 3600}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(res.Engine.TicksSkipped)/dayS, "skipped_frac")
+	b.ReportMetric(float64(res.Engine.Spans), "spans")
 }

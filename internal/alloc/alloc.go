@@ -243,11 +243,11 @@ func (a *Allocator) Started() bool { return a.started }
 // EndBurst stops the sprint.
 func (a *Allocator) EndBurst() { a.started = false }
 
-// SafeConstantDegree returns the largest overload degree sustainable for
+// safeConstantDegree returns the largest overload degree sustainable for
 // durationS seconds within the breaker's trip budget, derated by the safety
 // margin and capped at the configured periodic degree. Durations at or
 // beyond the budget's reach return 1 (no overload possible for that long).
-func (a *Allocator) SafeConstantDegree(durationS float64) float64 {
+func (a *Allocator) safeConstantDegree(durationS float64) float64 {
 	if durationS <= 0 {
 		return a.cfg.OverloadDegree
 	}
@@ -275,18 +275,31 @@ func (a *Allocator) PCb(now float64) float64 {
 	case a.burstDur <= a.cfg.MidBurstS:
 		// One constant overload lasting the whole burst, at the
 		// largest degree the trip budget allows.
-		return a.derate(a.cfg.RatedPowerW * a.SafeConstantDegree(a.burstDur))
+		return a.derate(a.cfg.RatedPowerW * a.safeConstantDegree(a.burstDur))
 	default:
 		// Periodic overload: 150 s at degree, 300 s at rated.
-		phase := math.Mod(now-a.burstStart+a.cfg.PhaseOffsetS, a.cfg.OverloadS+a.cfg.RecoveryS)
-		if phase < 0 {
-			phase += a.cfg.OverloadS + a.cfg.RecoveryS
-		}
-		if phase < a.cfg.OverloadS {
-			return a.derate(a.cfg.RatedPowerW * a.cfg.OverloadDegree)
-		}
-		return a.cfg.RatedPowerW
+		return a.periodicPCb(a.phase(now) < a.cfg.OverloadS)
 	}
+}
+
+// phase returns the position of now within the periodic schedule's
+// overload/recovery cycle, in [0, OverloadS+RecoveryS).
+func (a *Allocator) phase(now float64) float64 {
+	cycle := a.cfg.OverloadS + a.cfg.RecoveryS
+	phase := math.Mod(now-a.burstStart+a.cfg.PhaseOffsetS, cycle)
+	if phase < 0 {
+		phase += cycle
+	}
+	return phase
+}
+
+// periodicPCb is the periodic schedule's CB target in its overload or its
+// recovery phase.
+func (a *Allocator) periodicPCb(overload bool) float64 {
+	if overload {
+		return a.derate(a.cfg.RatedPowerW * a.cfg.OverloadDegree)
+	}
+	return a.cfg.RatedPowerW
 }
 
 // derate scales the overload portion of a CB budget by the measurement
@@ -303,15 +316,15 @@ func (a *Allocator) Overloading(now float64) bool {
 	return a.PCb(now) > a.cfg.RatedPowerW
 }
 
-// OverloadBonusW returns the extra CB power available while overloading:
+// overloadBonusW returns the extra CB power available while overloading:
 // rated × (degree − 1).
-func (a *Allocator) OverloadBonusW() float64 {
+func (a *Allocator) overloadBonusW() float64 {
 	return a.cfg.RatedPowerW * (a.cfg.OverloadDegree - 1)
 }
 
-// OverloadFrac returns the fraction of the periodic schedule spent
+// overloadFrac returns the fraction of the periodic schedule spent
 // overloading.
-func (a *Allocator) OverloadFrac() float64 {
+func (a *Allocator) overloadFrac() float64 {
 	return a.cfg.OverloadS / (a.cfg.OverloadS + a.cfg.RecoveryS)
 }
 
@@ -323,11 +336,11 @@ func (a *Allocator) avgBonusW() float64 {
 	}
 	switch {
 	case a.burstDur < a.cfg.ShortBurstS:
-		return a.OverloadBonusW()
+		return a.overloadBonusW()
 	case a.burstDur <= a.cfg.MidBurstS:
-		return a.cfg.RatedPowerW * (a.SafeConstantDegree(a.burstDur) - 1)
+		return a.cfg.RatedPowerW * (a.safeConstantDegree(a.burstDur) - 1)
 	default:
-		return a.OverloadFrac() * a.OverloadBonusW()
+		return a.overloadFrac() * a.overloadBonusW()
 	}
 }
 
@@ -343,11 +356,21 @@ func (a *Allocator) DeadlineShiftW() float64 { return a.shiftW }
 // overload bonus while the breaker is overloaded. +Inf P_cb (uncontrolled
 // short bursts) yields +Inf (the caller clamps to the batch maximum).
 func (a *Allocator) PBatchAt(now float64) float64 {
-	pcb := a.PCb(now)
+	return a.pBatchFor(a.PCb(now))
+}
+
+// pBatchFor is the batch budget under the CB target pcb.
+func (a *Allocator) pBatchFor(pcb float64) float64 {
 	if math.IsInf(pcb, 1) {
 		return a.bMax
 	}
 	return clampF(pcb-a.reserveW-a.idleW+a.shiftW, a.bMin, a.bMax)
+}
+
+// saturated reports whether an interactive-power sample exceeds the CB
+// headroom left beside the batch budget under the CB target pcb.
+func (a *Allocator) saturated(pInterW, pcb float64) bool {
+	return pInterW > pcb-a.pBatchFor(pcb)
 }
 
 // ObserveHeadroom records one interactive-power sample for the adaptation
@@ -369,9 +392,75 @@ func (a *Allocator) ObserveHeadroom(pInterW, now float64) {
 	if len(a.samples) < maxSamples {
 		a.samples = append(a.samples, pInterW)
 	}
-	if pInterW > pcb-a.PBatchAt(now) {
+	if a.saturated(pInterW, pcb) {
 		a.samplesHigh++
 	}
+}
+
+// ObserveHeadroomTicks records the samples of the n ObserveHeadroom calls at
+// times float64(step0+k)·dt, k = 0..n−1, with the same interactive power,
+// bit-identically and in O(budget edges): the window takes copies of the
+// sample up to maxSamples, and the saturated count adds the length of each
+// constant-P_cb segment in which the sample saturates the headroom. The
+// event engine replays a quiescent span's observations with it.
+func (a *Allocator) ObserveHeadroomTicks(pInterW float64, step0 int, dt float64, n int) {
+	// PCb's cases: +Inf for short bursts (nothing recorded, as in
+	// ObserveHeadroom), constant for mid-length ones, periodic beyond.
+	if !a.started || n <= 0 || math.IsNaN(pInterW) || math.IsInf(pInterW, 0) || a.burstDur < a.cfg.ShortBurstS {
+		return
+	}
+	for k := 0; k < n && len(a.samples) < maxSamples; k++ {
+		a.samples = append(a.samples, pInterW)
+	}
+	if a.burstDur <= a.cfg.MidBurstS {
+		// One constant overload: one segment.
+		if a.saturated(pInterW, a.PCb(float64(step0)*dt)) {
+			a.samplesHigh += n
+		}
+		return
+	}
+	over, rec := a.saturated(pInterW, a.periodicPCb(true)), a.saturated(pInterW, a.periodicPCb(false))
+	switch {
+	case over && rec:
+		a.samplesHigh += n
+	case over:
+		a.samplesHigh += a.overloadTicks(step0, dt, n)
+	case rec:
+		a.samplesHigh += n - a.overloadTicks(step0, dt, n)
+	}
+}
+
+// overloadTicks counts the ticks at times float64(step0+k)·dt, k = 0..n−1,
+// that fall in an overload phase of the periodic schedule. The phase is
+// monotone in time between cycle wraps, so the ticks form alternating
+// segments, and the walk goes from edge to edge: the ticks before the next
+// NextBudgetEdge share the current tick's class, except ticks within
+// rounding of the edge, which are classified one by one. (A tick past the
+// edge that still has the class, as when a phase shorter than a tick holds
+// no tick, simply starts the next segment.)
+func (a *Allocator) overloadTicks(step0 int, dt float64, n int) int {
+	inOverload := func(k int) bool { return a.phase(float64(step0+k)*dt) < a.cfg.OverloadS }
+	count := 0
+	for k := 0; k < n; {
+		ov := inOverload(k)
+		e := n
+		if est := math.Ceil(a.NextBudgetEdge(float64(step0+k)*dt)/dt) - float64(step0); est < float64(n) {
+			e = int(math.Max(est, float64(k+1)))
+		}
+		for e > k+1 && inOverload(e-1) != ov {
+			e--
+		}
+		if ov {
+			count += e - k
+		}
+		k = e
+	}
+	return count
+}
+
+// PBatchDue reports whether MaybeUpdatePBatch would adapt P_batch at now.
+func (a *Allocator) PBatchDue(now float64) bool {
+	return a.started && now-a.lastUpdate >= a.cfg.PBatchPeriodS
 }
 
 // MaybeUpdatePBatch applies the two-factor P_batch adaptation if a full
@@ -381,7 +470,7 @@ func (a *Allocator) ObserveHeadroom(pInterW, now float64) {
 // (all at floor / all at peak frequency). It returns whether an update
 // occurred.
 func (a *Allocator) MaybeUpdatePBatch(now, pDeadlineW, pBatchMinW, pBatchMaxW float64) bool {
-	if !a.started || now-a.lastUpdate < a.cfg.PBatchPeriodS {
+	if !a.PBatchDue(now) {
 		return false
 	}
 	a.lastUpdate = now
@@ -418,9 +507,9 @@ func (a *Allocator) MaybeUpdatePBatch(now, pDeadlineW, pBatchMinW, pBatchMaxW fl
 	// the time before deadlines to save the power consumption of batch
 	// workloads").
 	need := pDeadlineW * (1 + a.cfg.DeadlineMargin)
-	phi := a.OverloadFrac()
+	phi := a.overloadFrac()
 	base := a.cfg.RatedPowerW - a.reserveW - a.idleW
-	bonus := a.OverloadBonusW()
+	bonus := a.overloadBonusW()
 	delivered := func(shift float64) float64 {
 		ov := clampF(base+bonus+shift, pBatchMinW, pBatchMaxW)
 		rec := clampF(base+shift, pBatchMinW, pBatchMaxW)
@@ -467,24 +556,20 @@ func (a *Allocator) NextBudgetEdge(now float64) float64 {
 	if !a.started || a.burstDur <= a.cfg.MidBurstS {
 		return math.Inf(1)
 	}
-	cycle := a.cfg.OverloadS + a.cfg.RecoveryS
-	phase := math.Mod(now-a.burstStart+a.cfg.PhaseOffsetS, cycle)
-	if phase < 0 {
-		phase += cycle
-	}
+	phase := a.phase(now)
 	if phase < a.cfg.OverloadS {
 		return now + (a.cfg.OverloadS - phase)
 	}
-	return now + (cycle - phase)
+	return now + (a.cfg.OverloadS + a.cfg.RecoveryS - phase)
 }
 
 // QuiescenceDigest appends the allocator state that must be bit-stable for
 // a quiescent span to the digest. The adaptation-window bookkeeping
 // (lastUpdate, samples, samplesHigh, qScratch) is deliberately excluded:
-// the event engine replays ObserveHeadroom and MaybeUpdatePBatch exactly
-// across a span, so that state evolves identically whether or not ticks are
-// fast-forwarded, while the digested fields are proven rewritten-identically
-// at a certified fixed point.
+// the event engine replays the observations (ObserveHeadroomTicks) and
+// MaybeUpdatePBatch exactly across a span, so that state evolves
+// identically whether or not ticks are fast-forwarded, while the digested
+// fields are proven rewritten-identically at a certified fixed point.
 func (a *Allocator) QuiescenceDigest(d *engine.Digest) {
 	d.F64(a.burstStart)
 	d.F64(a.burstDur)
@@ -501,7 +586,6 @@ func (a *Allocator) QuiescenceDigest(d *engine.Digest) {
 // SetReserve overrides the interactive reserve (supervisor degraded modes).
 func (a *Allocator) SetReserve(w float64) { a.reserveW = math.Max(0, w) }
 
-// quantile returns the q-quantile of xs (xs is not modified).
 // quantile returns the q-quantile of xs, sorting xs in place (callers pass
 // a scratch copy so the observation window keeps its arrival order).
 func quantile(xs []float64, q float64) float64 {

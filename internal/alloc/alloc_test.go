@@ -2,6 +2,7 @@ package alloc
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -128,7 +129,7 @@ func TestSafeConstantDegreeMonotone(t *testing.T) {
 	a := mustNew(t)
 	prev := math.Inf(1)
 	for _, d := range []float64{60, 120, 300, 600, 1200} {
-		o := a.SafeConstantDegree(d)
+		o := a.safeConstantDegree(d)
 		if o > prev {
 			t.Fatalf("degree should not grow with duration at %v", d)
 		}
@@ -137,12 +138,12 @@ func TestSafeConstantDegreeMonotone(t *testing.T) {
 		}
 		prev = o
 	}
-	if got := a.SafeConstantDegree(0); got != 1.25 {
+	if got := a.safeConstantDegree(0); got != 1.25 {
 		t.Fatalf("zero duration degree = %v, want cap", got)
 	}
 }
 
-// Property: a constant overload at SafeConstantDegree(d) held for d seconds
+// Property: a constant overload at safeConstantDegree(d) held for d seconds
 // never exceeds the trip budget.
 func TestSafeConstantDegreeNeverTripsProperty(t *testing.T) {
 	a, err := New(DefaultConfig(rated, budget))
@@ -151,7 +152,7 @@ func TestSafeConstantDegreeNeverTripsProperty(t *testing.T) {
 	}
 	f := func(raw float64) bool {
 		d := 30 + math.Mod(math.Abs(raw), 3600)
-		o := a.SafeConstantDegree(d)
+		o := a.safeConstantDegree(d)
 		return (o*o-1)*d <= budget+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -165,8 +166,8 @@ func TestPBatchFollowsOverloadSchedule(t *testing.T) {
 	// During overload the batch budget carries the full +800 W bonus.
 	ov := a.PBatchAt(10)   // overload phase
 	rec := a.PBatchAt(200) // recovery phase
-	if math.Abs((ov-rec)-a.OverloadBonusW()) > 1e-9 {
-		t.Fatalf("overload bonus = %v, want %v", ov-rec, a.OverloadBonusW())
+	if math.Abs((ov-rec)-a.overloadBonusW()) > 1e-9 {
+		t.Fatalf("overload bonus = %v, want %v", ov-rec, a.overloadBonusW())
 	}
 	if math.Abs(rec-(rated-1800)) > 1e-9 {
 		t.Fatalf("recovery budget = %v, want rated − reserve = %v", rec, rated-1800)
@@ -198,7 +199,7 @@ func TestDeadlineShiftCoversShortfall(t *testing.T) {
 	need := 1500.0
 	a.MaybeUpdatePBatch(31, need, 0, 5000)
 	// Cycle-average affordance: rated + avg bonus − reserve − idle.
-	afford := rated + a.OverloadFrac()*a.OverloadBonusW() - a.InteractiveReserveW()
+	afford := rated + a.overloadFrac()*a.overloadBonusW() - a.InteractiveReserveW()
 	wantShift := need*(1+a.Config().DeadlineMargin) - afford
 	if math.Abs(a.DeadlineShiftW()-wantShift) > 1e-6 {
 		t.Fatalf("shift = %v, want %v", a.DeadlineShiftW(), wantShift)
@@ -216,7 +217,7 @@ func TestDeadlineShiftCoversShortfall(t *testing.T) {
 		t.Fatalf("shift = %v, want negative when CB over-affords", a2.DeadlineShiftW())
 	}
 	// The delivered cycle-average equals the (margin-inflated) need.
-	phi := a2.OverloadFrac()
+	phi := a2.overloadFrac()
 	deliver := phi*a2.PBatchAt(451) + (1-phi)*a2.PBatchAt(200)
 	want := 100 * (1 + a2.Config().DeadlineMargin)
 	if math.Abs(deliver-want) > 1 {
@@ -338,7 +339,7 @@ func TestMidBurstAvgBonusConsistent(t *testing.T) {
 	// affordance PBatchAt delivers.
 	a := mustNew(t)
 	a.StartBurst(0, 480, idleW, 1000)
-	deg := a.SafeConstantDegree(480)
+	deg := a.safeConstantDegree(480)
 	want := rated * (deg - 1)
 	if got := a.avgBonusW(); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("avg bonus %v, want %v", got, want)
@@ -365,5 +366,131 @@ func TestQuantileHelper(t *testing.T) {
 	// nothing in steady state).
 	if !sort.Float64sAreSorted(xs) {
 		t.Fatal("quantile must sort its scratch input in place")
+	}
+}
+
+// ObserveHeadroomTicks must leave the allocator exactly where the per-tick
+// ObserveHeadroom loop does — window, saturated count and all — for any
+// schedule shape, phase offset, tick length and window, including windows
+// that cross many overload/recovery edges and samples that saturate the
+// headroom in only one of the two phases.
+func TestObserveHeadroomTicksMatchesLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 3000; i++ {
+		cfg := DefaultConfig(rated, budget)
+		if rng.Intn(3) > 0 {
+			cfg.OverloadS = float64(1 + rng.Intn(300))
+			cfg.RecoveryS = float64(1 + rng.Intn(600))
+		} else {
+			cfg.OverloadS = 0.5 + 300*rng.Float64()
+			cfg.RecoveryS = 0.5 + 600*rng.Float64()
+		}
+		cfg.PhaseOffsetS = (cfg.OverloadS + cfg.RecoveryS) * rng.Float64()
+		burst := []float64{30, 480, 3600, 86400}[rng.Intn(4)]
+		dt := []float64{1, 1, 0.1, 0.25, 0.7, 3, 45, 200}[rng.Intn(8)]
+		a, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := New(cfg)
+		start := float64(rng.Intn(500))
+		bMax := 100 + 1500*rng.Float64()
+		pInter := 1500 + 3000*rng.Float64()
+		for _, x := range []*Allocator{a, b} {
+			x.StartBurst(start, burst, 150, 900)
+			x.MaybeUpdatePBatch(start, 600, 50, bMax)
+			// A partly filled window, sometimes near the sample cap.
+			for k := 0; k < rng.Intn(maxSamples+1); k++ {
+				x.ObserveHeadroom(pInter, start)
+			}
+		}
+		// Keep the window's pre-fill identical on both.
+		b.samples = append(b.samples[:0], a.samples...)
+		b.samplesHigh = a.samplesHigh
+		step0 := int(start/dt) + rng.Intn(100000)
+		n := rng.Intn(3000)
+		a.ObserveHeadroomTicks(pInter, step0, dt, n)
+		for k := 0; k < n; k++ {
+			b.ObserveHeadroom(pInter, float64(step0+k)*dt)
+		}
+		sa, sb := a.ExportState(), b.ExportState()
+		if sa.SamplesHigh != sb.SamplesHigh || len(sa.Samples) != len(sb.Samples) {
+			t.Fatalf("case %d (overload %g, recovery %g, offset %g, dt %g, burst %g, step0 %d, n %d, pInter %g, bMax %g): bulk %d saturated of %d samples, loop %d of %d",
+				i, cfg.OverloadS, cfg.RecoveryS, cfg.PhaseOffsetS, dt, burst, step0, n, pInter, bMax,
+				sa.SamplesHigh, len(sa.Samples), sb.SamplesHigh, len(sb.Samples))
+		}
+		for k := range sa.Samples {
+			if math.Float64bits(sa.Samples[k]) != math.Float64bits(sb.Samples[k]) {
+				t.Fatalf("case %d: sample %d differs", i, k)
+			}
+		}
+	}
+}
+
+// The saturation threshold pcb − PBatch(pcb) rises with pcb in exact
+// arithmetic, but rounding can leave the overload phase's threshold an ulp
+// below the recovery phase's: a sample between them saturates the overload
+// phase only, and the bulk count must take that branch too.
+func TestObserveHeadroomTicksOverloadOnlySaturation(t *testing.T) {
+	const reserve = 1813.9808639388586 // 4000−(4000−r) < 3200−(3200−r)
+	a := mustNew(t)
+	a.StartBurst(0, 86400, 0, reserve)
+	st := a.ExportState()
+	st.BMinW, st.BMaxW = 0, 1e6
+	if err := a.RestoreState(st); err != nil {
+		t.Fatal(err)
+	}
+	p := rated - (rated - reserve)
+	if over, rec := a.saturated(p, a.periodicPCb(true)), a.saturated(p, a.periodicPCb(false)); !over || rec {
+		t.Fatalf("sample saturates overload %v, recovery %v; want overload only", over, rec)
+	}
+	b := *a
+	b.samples = nil
+	a.ObserveHeadroomTicks(p, 0, 1, 900)
+	for k := 0; k < 900; k++ {
+		b.ObserveHeadroom(p, float64(k))
+	}
+	if a.samplesHigh != 300 || b.samplesHigh != 300 {
+		t.Fatalf("900 s from the burst start: bulk %d, loop %d saturated samples; want the 300 overload ticks", a.samplesHigh, b.samplesHigh)
+	}
+}
+
+// overloadTicks must count exactly the ticks the per-tick phase test puts
+// in an overload phase. Tick lengths like 0.7 s against whole-second phase
+// edges land ticks within rounding of an edge, where the estimated segment
+// end is a tick late and must be moved back; phases shorter than a tick
+// leave some phases with no tick at all.
+func TestOverloadTicksMatchesPerTickCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 6000; i++ {
+		cfg := DefaultConfig(rated, budget)
+		switch rng.Intn(3) {
+		case 0:
+			cfg.OverloadS, cfg.RecoveryS = float64(1+rng.Intn(300)), float64(1+rng.Intn(600))
+		case 1:
+			cfg.OverloadS, cfg.RecoveryS = 0.2+300*rng.Float64(), 0.2+600*rng.Float64()
+		default:
+			cfg.OverloadS, cfg.RecoveryS = 0.2+3*rng.Float64(), 0.2+3*rng.Float64()
+		}
+		if rng.Intn(2) == 0 {
+			cfg.PhaseOffsetS = (cfg.OverloadS + cfg.RecoveryS) * rng.Float64()
+		}
+		dt := []float64{1, 0.7, 0.7, 0.1, 0.3, 1.1, 3}[rng.Intn(7)]
+		a, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.StartBurst(float64(rng.Intn(500)), 86400, 0, 0)
+		step0, n := rng.Intn(100000), 1+rng.Intn(800)
+		want := 0
+		for k := 0; k < n; k++ {
+			if a.PCb(float64(step0+k)*dt) > rated {
+				want++
+			}
+		}
+		if got := a.overloadTicks(step0, dt, n); got != want {
+			t.Fatalf("overload %g, recovery %g, offset %g, dt %g, step0 %d, n %d: %d overload ticks, want %d",
+				cfg.OverloadS, cfg.RecoveryS, cfg.PhaseOffsetS, dt, step0, n, got, want)
+		}
 	}
 }

@@ -6,7 +6,7 @@ import "sprintcon/internal/engine"
 // discrete-event simulation engine (DESIGN.md §15). Each method appends the
 // controller's complete mutable state — every field a Step can read or
 // write on the next control period — to the digest, so that two consecutive
-// control periods hashing equal certifies an exact floating-point fixed
+// control periods comparing equal certifies an exact floating-point fixed
 // point of that controller. Preallocated scratch (solver workspaces,
 // output buffers) is excluded only where it is provably a pure function of
 // the digested inputs, rebuilt from scratch on every solve.

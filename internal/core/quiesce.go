@@ -20,10 +20,11 @@ import (
 //
 //   - lastCtl and the allocator's adaptation window (lastUpdate, samples,
 //     samplesHigh): these advance even at a fixed point, so AdvanceQuiescent
-//     re-runs ObserveHeadroom each tick and the control-period firings
-//     (deadlinePowerFloor + MaybeUpdatePBatch) at the real cadence;
+//     walks the control-period firings at the real cadence, records the
+//     headroom observations between them in bulk, and re-runs the P_batch
+//     adaptation (MaybeUpdatePBatch) wherever it falls due;
 //   - batch-job progress: jobs keep executing through a span (the rack
-//     replays them with AdvanceBatchTicks), so job state cannot be hashed.
+//     replays them with AdvanceBatchTicks), so job state cannot be digested.
 //     Instead, all-jobs-completed is a hard eligibility condition: a
 //     completed job's control weight and deadline floor are constants,
 //     while an incomplete job's RWeight(now) varies with now and would
@@ -157,17 +158,52 @@ func (s *SprintCon) QuiescentHorizonTicks(now, dt float64, maxTicks int) int {
 // the per-tick headroom observation, the control-period clock, and the
 // periodic P_batch adaptation — everything else Tick writes is rewritten
 // identically and is skipped.
+//
+// The replay walks from one control firing to the next instead of from
+// tick to tick. A firing that does not adapt P_batch only moves lastCtl, so
+// the headroom observations are recorded in bulk (ObserveHeadroomTicks)
+// just before each adapting firing — they precede it within its tick — and
+// once more at the span's end. The deadline floor is computed once: every
+// job has completed (a digest precondition), so it is a constant sum.
 func (s *SprintCon) AdvanceQuiescent(env *sim.Env, step0 int, dt float64, n int) {
 	// Pure function of rack state the span holds constant (interactive
 	// utilizations and frequencies), so one evaluation serves every tick.
 	pInterEst := env.Rack.EstimateInteractivePower()
-	for k := 0; k < n; k++ {
+	pDeadline, _ := s.deadlinePowerFloor(env, float64(step0)*dt)
+	observed := 0 // ticks [0, observed) have recorded their headroom sample
+	// The first firing is estimated from lastCtl, each later one from the
+	// gap between the last two.
+	for k, gap := s.nextControlTick(step0, dt, 0, -1, n), 1; k < n; {
 		now := float64(step0+k) * dt
-		s.allocator.ObserveHeadroom(pInterEst, now)
-		if now-s.lastCtl >= s.cfg.ControlPeriodS-1e-9 {
-			s.lastCtl = now
-			pDeadline, _ := s.deadlinePowerFloor(env, now)
+		s.lastCtl = now
+		if s.allocator.PBatchDue(now) {
+			s.allocator.ObserveHeadroomTicks(pInterEst, step0+observed, dt, k+1-observed)
+			observed = k + 1
 			s.allocator.MaybeUpdatePBatch(now, pDeadline, s.pBatchMin, s.pBatchMax)
 		}
+		next := s.nextControlTick(step0, dt, k+1, k+gap, n)
+		gap, k = next-k, next
 	}
+	s.allocator.ObserveHeadroomTicks(pInterEst, step0+observed, dt, n-observed)
+}
+
+// nextControlTick returns the first k in [from, n) whose tick time
+// float64(step0+k)·dt fires the control period under Tick's own test
+// against lastCtl, or n if none does. The test is monotone in k, so the
+// search moves from guess (clamped to [from, n]; a negative guess is
+// estimated from lastCtl) to the first firing tick.
+func (s *SprintCon) nextControlTick(step0 int, dt float64, from, guess, n int) int {
+	period := s.cfg.ControlPeriodS - 1e-9
+	fires := func(k int) bool { return float64(step0+k)*dt-s.lastCtl >= period }
+	if guess < 0 {
+		guess = int(math.Max(math.Min(math.Ceil((s.lastCtl+period)/dt)-float64(step0), float64(n)), 0))
+	}
+	k := min(max(guess, from), n)
+	for k > from && fires(k-1) {
+		k--
+	}
+	for k < n && !fires(k) {
+		k++
+	}
+	return k
 }

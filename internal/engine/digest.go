@@ -1,56 +1,45 @@
 // Package engine provides the primitives of the discrete-event simulation
-// core (DESIGN.md §15): a streaming state digest used to certify exact
-// floating-point fixed points of the controller + plant state machine, and a
-// deterministic event queue that merges the barrier events — workload phase
-// edges, control-period and allocator budget boundaries, fault onsets and
-// clears, checkpoint-capture deadlines, run end — bounding each quiescent
-// span. The package is a leaf: control and core hash their state into a
-// Digest without importing the simulation engine.
+// core (DESIGN.md §15): a state digest used to certify exact floating-point
+// fixed points of the controller + plant state machine, a deterministic
+// event queue that merges the barrier events — workload phase edges,
+// control-period and allocator budget boundaries, fault onsets and clears,
+// checkpoint-capture deadlines, run end — bounding each quiescent span, and
+// the exact repeated-add kernels that close a span's per-tick accumulators
+// without replaying its ticks. The package is a leaf: control and core
+// append their state to a Digest without importing the simulation engine.
 package engine
 
-import "math"
-
-const (
-	fnvOffset64 uint64 = 14695981039346656037
-	fnvPrime64  uint64 = 1099511628211
+import (
+	"bytes"
+	"encoding/binary"
+	"math"
 )
 
-// Digest is a streaming FNV-1a (64-bit) hash over typed values. Two state
-// vectors hash equal only if every appended value is bit-identical (floats
-// compare by their IEEE-754 bit patterns, so −0 ≠ +0 and NaN payloads
-// matter — the strict direction for fixed-point certification). The zero
-// value is NOT ready; use NewDigest or Reset.
+// Digest records typed values as a sequence of 64-bit words. Two digests
+// are Equal only if every appended value is bit-identical (floats compare by
+// their IEEE-754 bit patterns, so −0 ≠ +0 and NaN payloads matter — the
+// strict direction for fixed-point certification). The comparison is exact:
+// unlike a hash, two different state vectors can never certify as equal.
+// The words are kept little-endian in a byte buffer, so Equal is one memory
+// comparison. The zero value is an empty digest; Reset keeps the buffer, so
+// a reused digest does not allocate in steady state.
 type Digest struct {
-	h uint64
+	buf []byte
 }
 
-// NewDigest returns an initialized digest.
-func NewDigest() Digest {
-	return Digest{h: fnvOffset64}
-}
-
-// Reset reinitializes the digest.
+// Reset empties the digest, keeping its capacity.
 func (d *Digest) Reset() {
-	d.h = fnvOffset64
+	d.buf = d.buf[:0]
 }
 
-// Sum returns the hash of everything appended so far.
-func (d *Digest) Sum() uint64 {
-	return d.h
+// Equal reports whether d and o hold the same word sequence.
+func (d *Digest) Equal(o *Digest) bool {
+	return bytes.Equal(d.buf, o.buf)
 }
 
-// U64 appends one 64-bit word, low byte first.
+// U64 appends one 64-bit word.
 func (d *Digest) U64(v uint64) {
-	h := d.h
-	h = (h ^ (v & 0xff)) * fnvPrime64
-	h = (h ^ ((v >> 8) & 0xff)) * fnvPrime64
-	h = (h ^ ((v >> 16) & 0xff)) * fnvPrime64
-	h = (h ^ ((v >> 24) & 0xff)) * fnvPrime64
-	h = (h ^ ((v >> 32) & 0xff)) * fnvPrime64
-	h = (h ^ ((v >> 40) & 0xff)) * fnvPrime64
-	h = (h ^ ((v >> 48) & 0xff)) * fnvPrime64
-	h = (h ^ (v >> 56)) * fnvPrime64
-	d.h = h
+	d.buf = binary.LittleEndian.AppendUint64(d.buf, v)
 }
 
 // F64 appends one float64 by bit pattern.

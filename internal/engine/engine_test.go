@@ -8,48 +8,58 @@ import (
 )
 
 func TestDigestDistinguishesBitPatterns(t *testing.T) {
-	sum := func(fill func(d *Digest)) uint64 {
-		d := NewDigest()
-		fill(&d)
-		return d.Sum()
+	equal := func(fillA, fillB func(d *Digest)) bool {
+		var a, b Digest
+		fillA(&a)
+		fillB(&b)
+		return a.Equal(&b)
 	}
-	base := sum(func(d *Digest) { d.F64(1.0) })
-	if base == sum(func(d *Digest) { d.F64(math.Nextafter(1, 2)) }) {
-		t.Fatal("one-ulp difference hashed equal")
+	f64 := func(v float64) func(d *Digest) { return func(d *Digest) { d.F64(v) } }
+	if !equal(f64(1.0), f64(1.0)) {
+		t.Fatal("identical values compared unequal")
 	}
-	if sum(func(d *Digest) { d.F64(0.0) }) == sum(func(d *Digest) { d.F64(math.Copysign(0, -1)) }) {
-		t.Fatal("+0 and −0 hashed equal; the digest must be bit-strict")
+	if equal(f64(1.0), f64(math.Nextafter(1, 2))) {
+		t.Fatal("one-ulp difference compared equal")
 	}
-	nan1 := math.Float64frombits(0x7ff8000000000001)
-	nan2 := math.Float64frombits(0x7ff8000000000002)
-	if sum(func(d *Digest) { d.F64(nan1) }) == sum(func(d *Digest) { d.F64(nan2) }) {
-		t.Fatal("distinct NaN payloads hashed equal")
+	if equal(f64(0.0), f64(math.Copysign(0, -1))) {
+		t.Fatal("+0 and −0 compared equal; the digest must be bit-strict")
+	}
+	if equal(f64(math.Float64frombits(0x7ff8000000000001)), f64(math.Float64frombits(0x7ff8000000000002))) {
+		t.Fatal("distinct NaN payloads compared equal")
 	}
 }
 
 func TestDigestLengthFraming(t *testing.T) {
-	a := NewDigest()
+	var a, b Digest
 	a.F64s([]float64{1})
 	a.F64s(nil)
-	b := NewDigest()
 	b.F64s(nil)
 	b.F64s([]float64{1})
-	if a.Sum() == b.Sum() {
-		t.Fatal("length framing failed: [1],[] collided with [],[1]")
+	if a.Equal(&b) {
+		t.Fatal("length framing failed: [1],[] compared equal to [],[1]")
 	}
 }
 
 func TestDigestResetMatchesFresh(t *testing.T) {
-	d := NewDigest()
+	var d Digest
 	d.F64(3.5)
+	d.F64(4.5)
 	d.Reset()
 	d.Int(-7)
 	d.Bool(true)
-	fresh := NewDigest()
+	var fresh Digest
 	fresh.Int(-7)
 	fresh.Bool(true)
-	if d.Sum() != fresh.Sum() {
+	if !d.Equal(&fresh) {
 		t.Fatal("Reset digest differs from a fresh digest over the same values")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		d.Reset()
+		d.Int(-7)
+		d.Bool(true)
+	})
+	if allocs != 0 {
+		t.Fatalf("a reused digest allocates %.1f times per fill", allocs)
 	}
 }
 

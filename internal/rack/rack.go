@@ -325,19 +325,19 @@ func (r *Rack) AdvanceBatch(dt, now float64) {
 			r.servers[ref.Server].CPU().SetUtil(ref.Core, 0)
 			continue
 		}
-		f := r.servers[ref.Server].CPU().Core(ref.Core).Freq
+		f := r.servers[ref.Server].CPU().Freqs()[ref.Core]
 		j.Advance(f, fmax, dt, now)
 		r.servers[ref.Server].CPU().SetUtil(ref.Core, j.CurrentUtil())
 	}
 }
 
-// AdvanceBatchTicks executes n consecutive AdvanceBatch ticks of size dt
-// starting at simulation time now0, job-major: each job runs its n ticks
+// AdvanceBatchTicks executes the n consecutive AdvanceBatch ticks of size dt
+// at times float64(step0+k)·dt, job-major: each job runs its n ticks
 // back to back before the next job. Because jobs never interact and the
 // core frequencies are untouched, the end state is bit-identical to n
 // interleaved AdvanceBatch calls — this is the event engine's quiescent-
 // span replay kernel, reduced to the job progress arithmetic alone.
-func (r *Rack) AdvanceBatchTicks(dt, now0 float64, n int) {
+func (r *Rack) AdvanceBatchTicks(dt float64, step0, n int) {
 	fmax := r.cfg.ServerParams.PStates.Max()
 	for i, ref := range r.batch {
 		j := r.jobSeq[i]
@@ -345,8 +345,8 @@ func (r *Rack) AdvanceBatchTicks(dt, now0 float64, n int) {
 			r.servers[ref.Server].CPU().SetUtil(ref.Core, 0)
 			continue
 		}
-		f := r.servers[ref.Server].CPU().Core(ref.Core).Freq
-		j.AdvanceTicks(f, fmax, dt, now0, n)
+		f := r.servers[ref.Server].CPU().Freqs()[ref.Core]
+		j.AdvanceTicks(f, fmax, dt, step0, n)
 		r.servers[ref.Server].CPU().SetUtil(ref.Core, j.CurrentUtil())
 	}
 }
@@ -364,7 +364,7 @@ func (r *Rack) BatchStableTicks(dt float64, maxTicks int) int {
 		if j == nil || r.faults[ref.Server].Offline {
 			continue
 		}
-		f := r.servers[ref.Server].CPU().Core(ref.Core).Freq
+		f := r.servers[ref.Server].CPU().Freqs()[ref.Core]
 		if n := j.StableTicks(f, fmax, dt); n < min {
 			min = n
 		}
@@ -498,7 +498,7 @@ func (r *Rack) MeanBatchFreqNorm() float64 {
 		if r.faults[ref.Server].Offline {
 			continue // a dark core executes at frequency 0
 		}
-		sum += r.servers[ref.Server].CPU().Core(ref.Core).Freq
+		sum += r.servers[ref.Server].CPU().Freqs()[ref.Core]
 	}
 	return sum / float64(len(r.batch)) / r.cfg.ServerParams.PStates.Max()
 }
@@ -514,7 +514,7 @@ func (r *Rack) MeanInteractiveFreqNorm() float64 {
 		if r.faults[ref.Server].Offline {
 			continue
 		}
-		sum += r.servers[ref.Server].CPU().Core(ref.Core).Freq
+		sum += r.servers[ref.Server].CPU().Freqs()[ref.Core]
 	}
 	return sum / float64(len(r.inter)) / r.cfg.ServerParams.PStates.Max()
 }

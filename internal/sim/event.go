@@ -10,10 +10,11 @@ import (
 // produces results bit-identical to the fixed-step tick loop while skipping
 // the plant and controller work of provably quiescent spans:
 //
-//  1. After every normal tick it hashes the complete mutable controller +
-//     plant state (minus a small replayed-exactly remainder) into an
-//     engine.Digest. Once the digest has been bit-identical for more than
-//     one full controller adaptation cadence AND the tick inputs (trace
+//  1. After every normal tick it records the complete mutable controller +
+//     plant state (minus a small replayed-exactly remainder) in an
+//     engine.Digest and compares it word for word with the previous
+//     tick's. Once the digest has been bit-identical for more than one
+//     full controller adaptation cadence AND the tick inputs (trace
 //     demand, measured power) have been bit-identical at least as long,
 //     the run is at an exact floating-point fixed point: every skipped
 //     Tick would rewrite the same state and return the same outputs.
@@ -25,12 +26,14 @@ import (
 //     barrier kinds of their own: a quiescent span requires zero UPS
 //     discharge and zero breaker thermal accumulation, so neither state
 //     can cross a threshold inside one.
-//  3. fastForward closes the span analytically: per-tick accumulators are
-//     advanced by per-tick loops over precomputed constants (never n·x,
-//     preserving bit-exact float addition order), series rows append at
-//     the configured stride, batch jobs replay through the rack's
-//     job-major kernel, and the policy replays its digest-excluded state
-//     (headroom samples, control-period clock, P_batch adaptation).
+//  3. fastForward closes the span without replaying its ticks: each
+//     per-tick accumulator adds a span-constant increment, and
+//     engine.AddN returns exactly what n such adds return, one binade at a
+//     time; series rows append at the stride's multiples; batch jobs
+//     replay through the rack's job-major kernel, which steps only to
+//     phase edges and completions; and the policy replays its
+//     digest-excluded state (headroom samples, control-period clock,
+//     P_batch adaptation) from one control firing to the next.
 //
 // Anything the proof does not cover falls back to normal ticking: noisy
 // monitors, utilization jitter, ambient swing, live telemetry, and
@@ -67,14 +70,15 @@ const minSpanTicks = 8
 type eventCore struct {
 	qp      QuiescentPolicy
 	q       engine.Queue
-	dig     engine.Digest
 	cadence int
 
 	// Fixed-point certification: the streak of consecutive ticks whose
-	// post-tick digest was bit-identical.
-	stable  int
-	lastDig uint64
-	haveDig bool
+	// post-tick digest was bit-identical. dig is filled after each tick
+	// and compared word for word with prev, the previous tick's digest;
+	// the two buffers then swap.
+	dig, prev engine.Digest
+	stable    int
+	haveDig   bool
 
 	// Input-change guard: the last step whose tick inputs (trace demand,
 	// measured total power) differed from the previous tick's. The
@@ -119,7 +123,6 @@ func (r *Runner) RunEvent() error {
 	}
 	r.ev = &eventCore{
 		qp:              qp,
-		dig:             engine.NewDigest(),
 		cadence:         qp.QuiescenceCadenceTicks(r.dt),
 		lastInputChange: r.step,
 	}
@@ -178,12 +181,12 @@ func (r *Runner) probeQuiescence() {
 		return
 	}
 	r.plantDigest(&ev.dig)
-	sum := ev.dig.Sum()
-	if ev.haveDig && sum == ev.lastDig {
+	if ev.haveDig && ev.dig.Equal(&ev.prev) {
 		ev.stable++
-		return
+	} else {
+		ev.haveDig, ev.stable = true, 1
 	}
-	ev.lastDig, ev.haveDig, ev.stable = sum, true, 1
+	ev.dig, ev.prev = ev.prev, ev.dig
 }
 
 // plantQuiescent reports whether the plant side of the state machine is in
@@ -331,35 +334,28 @@ func (r *Runner) fastForward(n int) {
 	// the two are independent here because completed jobs' weights are
 	// constants, but the order documents the correspondence).
 	ev.qp.AdvanceQuiescent(env, step0, dt, n)
-	env.Rack.AdvanceBatchTicks(dt, now0, n)
+	env.Rack.AdvanceBatchTicks(dt, step0, n)
 	if r.inj != nil {
 		r.inj.AdvanceConstant(pTotal, n)
 	}
 
-	// Accumulators advance by per-tick loops over precomputed per-tick
-	// increments — the increments are bit-identical to the per-tick
-	// expressions (same operands), and looped addition preserves the tick
-	// loop's exact float summation order.
+	// Accumulators: each tick adds the same span-constant increment (the
+	// tick loop's own expression over the same operands), so n adds close
+	// to engine.AddN's exact result in O(binades) instead of O(n).
 	eTot := pTotal * res.Series.DtS / 3600
 	eCB := cbW * res.Series.DtS / 3600
-	ov := cbW - env.Breaker.RatedPower()
-	eOver := 0.0
-	if ov > 0 {
-		eOver = ov * res.Series.DtS / 3600
+	res.nTicks += n
+	res.sumFreqInter = engine.AddN(res.sumFreqInter, fi, n)
+	res.sumFreqBatch = engine.AddN(res.sumFreqBatch, fb, n)
+	res.EnergyTotalWh = engine.AddN(res.EnergyTotalWh, eTot, n)
+	res.EnergyCBWh = engine.AddN(res.EnergyCBWh, eCB, n)
+	if ov := cbW - env.Breaker.RatedPower(); ov > 0 {
+		res.EnergyCBOverWh = engine.AddN(res.EnergyCBOverWh, ov*res.Series.DtS/3600, n)
 	}
+
+	// Series rows: the span's ticks on multiples of the stride.
 	s := &res.Series
-	for k := 0; k < n; k++ {
-		res.nTicks++
-		res.sumFreqInter += fi
-		res.sumFreqBatch += fb
-		res.EnergyTotalWh += eTot
-		res.EnergyCBWh += eCB
-		if ov > 0 {
-			res.EnergyCBOverWh += eOver
-		}
-		if (step0+k)%stride != 0 {
-			continue
-		}
+	for k := (stride - step0%stride) % stride; k < n; k += stride {
 		nowK := float64(step0+k) * dt
 		s.Time = append(s.Time, nowK)
 		s.TotalW = append(s.TotalW, pTotal)
@@ -382,14 +378,10 @@ func (r *Runner) fastForward(n int) {
 	if r.reporter != nil {
 		pcb, _ := r.reporter.Targets(now0)
 		if !math.IsInf(pcb, 1) && !math.IsNaN(pcb) {
-			trackErr := math.Abs(cbW - pcb)
-			over := cbW > pcb*1.01
-			for k := 0; k < n; k++ {
-				r.controlledTicks++
-				r.trackErrSum += trackErr
-				if over {
-					r.overTicks++
-				}
+			r.controlledTicks += n
+			r.trackErrSum = engine.AddN(r.trackErrSum, math.Abs(cbW-pcb), n)
+			if cbW > pcb*1.01 {
+				r.overTicks += n
 			}
 		}
 	}

@@ -18,6 +18,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"sprintcon/internal/engine"
 )
 
 // BatchSpec is the static description of one batch benchmark.
@@ -216,61 +218,96 @@ func (j *BatchJob) Advance(f, fmax, dt, now float64) {
 	}
 }
 
-// AdvanceTicks executes n consecutive dt-second ticks at constant frequency
-// f starting at simulation time now0, bit-identically to calling
-// Advance(f, fmax, dt, now0+k·dt) for k = 0..n−1. Ticks that provably stay
-// inside the current phase segment take a two-flop fast path (Advance's
-// within-segment branch reduces to remaining -= rate·dt when timeLeft = dt);
-// ticks that may cross a phase boundary, complete, or wrap fall back to one
-// exact Advance call, after which the phase is re-derived. The event engine
-// uses this to replay batch progress across quiescent spans in O(phases)
-// rather than O(ticks) of full phase walks.
-func (j *BatchJob) AdvanceTicks(f, fmax, dt, now0 float64, n int) {
+// AdvanceTicks executes the n consecutive dt-second ticks step0..step0+n−1
+// at constant frequency f, bit-identically to calling
+// Advance(f, fmax, dt, float64(step0+k)·dt) for k = 0..n−1 (the tick
+// engine's clock expression), in O(phase edges + completions + binades)
+// instead of O(n).
+//
+// Every tick adds dt to execSecs, so execSecs closes with one
+// engine.AddN. A tick that provably stays inside the current phase segment
+// reduces Advance to remaining -= rate·dt. Its gate, segWork/rate > dt, is
+// monotone in remaining, and remaining only falls, so the ticks that pass it
+// form a prefix of the span, closed by inSegmentTicks. The first tick that
+// fails the gate (a phase boundary, completion or wrap) goes through the
+// exact Advance, after which the phase is re-derived. The event engine uses
+// this to replay batch progress across quiescent spans.
+func (j *BatchJob) AdvanceTicks(f, fmax, dt float64, step0, n int) {
 	if dt < 0 {
 		panic("workload: negative dt")
 	}
-	if dt <= 1e-12 {
-		// Advance's segment loop never runs at dt ≤ 1e-12: only wall time
-		// accrues.
-		for k := 0; k < n; k++ {
-			j.execSecs += dt
-		}
+	if n <= 0 {
 		return
 	}
-	k := 0
-	for k < n {
+	exec0 := j.execSecs
+	// Advance's segment loop never runs at dt ≤ 1e-12, and a phase that
+	// makes no progress cannot change: such ticks only accrue wall time.
+	for k := 0; k < n && dt > 1e-12; {
 		pos := j.totalWork - j.remaining
 		idx := j.Spec.phaseIndexAt(pos, j.totalWork)
 		rate := phaseRate(j.Spec.phases()[idx], f, fmax)
 		if rate <= 0 {
-			// Advance returns after accruing execSecs when the phase makes
-			// no progress, and the phase cannot change without progress.
-			for ; k < n; k++ {
-				j.execSecs += dt
-			}
-			return
+			break
 		}
 		endW := j.Spec.phaseEndWork(idx, j.totalWork)
 		step := rate * dt // == rate*timeLeft with timeLeft = dt, bit-exact
-		for k < n {
-			segWork := endW - (j.totalWork - j.remaining)
-			if segWork > j.remaining {
-				segWork = j.remaining
-			}
-			// Same comparison as Advance's segTime > timeLeft gate.
-			if segWork/rate > dt {
-				j.execSecs += dt
-				j.remaining -= step
-				k++
-				continue
-			}
-			// Boundary, completion or wrap inside this tick: exact slow
-			// path, then re-derive the phase.
-			j.Advance(f, fmax, dt, now0+float64(k)*dt)
-			k++
+		k += j.inSegmentTicks(endW, rate, dt, step, n-k)
+		if k == n {
 			break
 		}
+		// Boundary, completion or wrap inside this tick: exact slow path,
+		// then re-derive the phase.
+		j.Advance(f, fmax, dt, float64(step0+k)*dt)
+		k++
 	}
+	j.execSecs = engine.AddN(exec0, dt, n)
+}
+
+// inSegmentTicks runs remaining -= step for a prefix of up to n ticks that
+// pass Advance's within-segment gate and returns its length. Before tick k
+// remaining is exactly R(k) = engine.AddN(r0, −step, k), and the gate is
+// monotone in it, so the passing ticks are a prefix, and ticks 0..k−1 pass
+// exactly when tick k−1 does. The gate fails once remaining has fallen to
+// the work beyond the segment plus one tick's progress, which estimates the
+// prefix length. An estimate that falls short costs only time, as Advance
+// runs the next tick exactly either way; one that overshoots is cut back by
+// a binary search for the first failing tick.
+func (j *BatchJob) inSegmentTicks(endW, rate, dt, step float64, n int) int {
+	r0 := j.remaining
+	k := n
+	if est := math.Ceil((r0 - (j.totalWork - endW) - step) / step); est < float64(n) {
+		k = int(math.Max(est, 0))
+	}
+	if k == 0 {
+		return 0
+	}
+	if r := engine.AddN(r0, -step, k-1); j.inSegment(r, endW, rate, dt) {
+		j.remaining = r - step
+		return k
+	}
+	// The gate passes at R(lo) (or lo = −1) and fails at R(hi).
+	lo, hi := -1, k-1
+	for hi-lo > 1 {
+		mid := (lo + hi) / 2
+		if j.inSegment(engine.AddN(r0, -step, mid), endW, rate, dt) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	j.remaining = engine.AddN(r0, -step, hi)
+	return hi
+}
+
+// inSegment is Advance's within-segment gate at remaining work r: the
+// tick's dt cannot reach the end of the current phase segment (endW) or of
+// the execution.
+func (j *BatchJob) inSegment(r, endW, rate, dt float64) bool {
+	segWork := endW - (j.totalWork - r)
+	if segWork > r {
+		segWork = r
+	}
+	return segWork/rate > dt
 }
 
 // StableTicks returns a conservative count of whole dt-second ticks of
